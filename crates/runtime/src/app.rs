@@ -27,6 +27,23 @@ use crate::tasks::{
 /// deadlocking downstream stages.
 const DEFAULT_FAULT_DEADLINE: Duration = Duration::from_millis(400);
 
+/// Capacity of the "Back Projections" channel, whatever
+/// [`TrackerConfig::channel_capacity`] says. Its items are the fattest
+/// payload in the system (`n_models × width × height × 4` bytes — ten times
+/// a frame at eight models), T5 is its only consumer and reads one item at
+/// a time, and one slot already double-buffers: T4 computes frame *f + 1*
+/// while T5 holds *f*. A deeper queue buys no throughput; it only lets a
+/// free-running pipeline's backlog pile up in its most expensive place.
+/// (The scheduled executor, whose T4 instances finish out of order, widens
+/// it again: see `TrackerApp::widen_scores_for_schedule`.)
+const SCORES_CAPACITY: usize = 1;
+
+/// Floor of the "Frame" channel's capacity. T3 differences frame *ts*
+/// against *ts − 1*, so its consume frontier trails the stream by one
+/// frame; with a single slot the digitizer can never `put` frame *ts* while
+/// T3 still holds *ts − 1*, and an unpaced run deadlocks.
+const MIN_FRAME_CAPACITY: usize = 2;
+
 /// Configuration of a tracker run.
 #[derive(Clone, Debug)]
 pub struct TrackerConfig {
@@ -332,7 +349,7 @@ impl TrackerApp {
         // figures the fleet memory rollup and the stmstore GC budget use.
         let cap = cfg.channel_capacity;
         let frames: Channel<PooledFrame> = ChannelBuilder::new("Frame")
-            .capacity(cap)
+            .capacity(cap.max(MIN_FRAME_CAPACITY))
             .build_weighed(weigh_frame);
         let hist: Channel<ColorHist> = ChannelBuilder::new("Color Model")
             .capacity(cap)
@@ -341,7 +358,7 @@ impl TrackerApp {
             .capacity(cap)
             .build_weighed(weigh_mask);
         let scores: Channel<Vec<ScoreMap>> = ChannelBuilder::new("Back Projections")
-            .capacity(cap)
+            .capacity(SCORES_CAPACITY)
             .build_weighed(weigh_scores);
         let locations: Channel<Vec<ModelLocation>> = ChannelBuilder::new("Model Locations")
             .capacity(cap)
@@ -523,25 +540,39 @@ impl TrackerApp {
         self.pool.as_ref().map(|p| (p.submitted(), p.executed()))
     }
 
+    /// Give "Back Projections" the configured capacity instead of its one
+    /// slot. For the scheduled executor only: its masters run instances of
+    /// T4 for different frames concurrently and finish them out of order,
+    /// while T5 frees items in frame order — with one slot, frame *f + 1*
+    /// landing first would lock frame *f* out for good. There the schedule
+    /// bounds the frames in flight; the slot count only has to cover them,
+    /// which is what callers size `channel_capacity` for.
+    pub(crate) fn widen_scores_for_schedule(&self) {
+        self.channels.scores.set_capacity(self.channel_capacity);
+    }
+
     /// Per-channel occupancy rows for the schedule-conformance checker:
-    /// every channel's configured capacity and observed `peak_live`, with
+    /// every channel's capacity and observed `peak_live`, with
     /// `schedule_bound` (the active schedule's occupancy bound, in
     /// overlapping iterations) applied to all channels.
     #[must_use]
     pub fn channel_checks(&self, schedule_bound: u32) -> Vec<ChannelCheck> {
-        let cap = self.channel_capacity as u32;
-        let row = |name: &str, peak: usize| ChannelCheck {
-            name: name.to_string(),
-            capacity: cap,
-            peak_live: peak as u32,
-            schedule_bound,
-        };
+        fn row<T>(name: &str, ch: &Channel<T>, schedule_bound: u32) -> ChannelCheck {
+            ChannelCheck {
+                name: name.to_string(),
+                // Every app channel is built bounded.
+                capacity: ch.capacity().map_or(u32::MAX, |c| c as u32),
+                peak_live: ch.stats().peak_live as u32,
+                schedule_bound,
+            }
+        }
+        let ch = &self.channels;
         vec![
-            row("Frame", self.channels.frames.stats().peak_live),
-            row("Color Model", self.channels.hist.stats().peak_live),
-            row("Motion Mask", self.channels.mask.stats().peak_live),
-            row("Back Projections", self.channels.scores.stats().peak_live),
-            row("Model Locations", self.channels.locations.stats().peak_live),
+            row("Frame", &ch.frames, schedule_bound),
+            row("Color Model", &ch.hist, schedule_bound),
+            row("Motion Mask", &ch.mask, schedule_bound),
+            row("Back Projections", &ch.scores, schedule_bound),
+            row("Model Locations", &ch.locations, schedule_bound),
         ]
     }
 
@@ -630,9 +661,9 @@ mod tests {
         assert_eq!(rec.mode(), TraceMode::Ring(256));
         let checks = app.channel_checks(3);
         assert_eq!(checks.len(), 5);
-        assert!(checks
-            .iter()
-            .all(|c| c.capacity == 8 && c.schedule_bound == 3));
+        assert!(checks.iter().all(|c| c.schedule_bound == 3));
+        let caps: Vec<u32> = checks.iter().map(|c| c.capacity).collect();
+        assert_eq!(caps, [8, 8, 8, 1, 8], "Back Projections holds one item");
     }
 
     #[test]

@@ -248,8 +248,8 @@ impl FleetObs {
     }
 }
 
-/// The final rollup [`Fleet::detach_and_wait`] emits once a departed
-/// tenant has fully drained.
+/// The final rollup [`Fleet::detach_and_wait`] emits once a tenant has
+/// fully drained (or had already finished).
 pub struct TenantRollup {
     /// Tenant index.
     pub tenant: usize,
@@ -685,42 +685,41 @@ impl Fleet {
     }
 
     /// [`detach`](Self::detach), then block until the tenant has fully
-    /// drained (or `timeout` elapses) and emit its final rollup.
+    /// drained (or `timeout` elapses) and emit its final rollup. A tenant
+    /// that already finished — departed earlier, or ran its whole frame
+    /// budget — returns its stored rollup at once, so the call is
+    /// idempotent; `None` means an unknown or never-admitted tenant, or a
+    /// drain that outlived `timeout`.
     pub fn detach_and_wait(&self, tenant: usize, timeout: Duration) -> Option<TenantRollup> {
-        let already_draining = {
-            let slots = self.inner.slots.lock();
-            slots
-                .get(tenant)
-                .is_some_and(|s| s.state == LifecycleState::Draining)
-        };
-        if !self.detach(tenant) && !already_draining {
-            return None;
-        }
+        let _ = self.detach(tenant);
         let deadline = Instant::now() + timeout;
         let inner = &self.inner;
-        {
-            let mut g = inner.done_lock.lock();
-            loop {
-                let state = inner.slots.lock()[tenant].state;
-                if state == LifecycleState::Departed {
-                    break;
+        let mut g = inner.done_lock.lock();
+        loop {
+            {
+                let slots = inner.slots.lock();
+                let slot = slots.get(tenant)?;
+                match slot.state {
+                    LifecycleState::Rejected => return None,
+                    LifecycleState::Departed | LifecycleState::Completed => {
+                        let (app, stats) = slot.result.as_ref()?;
+                        return Some(TenantRollup {
+                            tenant,
+                            stats: *stats,
+                            health: app.health.report(),
+                            sheds: app.measure.shed_count(),
+                            digitized: app.measure.digitized_count(),
+                        });
+                    }
+                    LifecycleState::Admitted | LifecycleState::Draining => {}
                 }
-                let now = Instant::now();
-                if now >= deadline {
-                    return None;
-                }
-                let _ = inner.done_cv.wait_for(&mut g, deadline - now);
             }
+            let now = Instant::now();
+            if now >= deadline {
+                return None;
+            }
+            let _ = inner.done_cv.wait_for(&mut g, deadline - now);
         }
-        let slots = inner.slots.lock();
-        let (app, stats) = slots[tenant].result.as_ref()?;
-        Some(TenantRollup {
-            tenant,
-            stats: *stats,
-            health: app.health.report(),
-            sheds: app.measure.shed_count(),
-            digitized: app.measure.digitized_count(),
-        })
     }
 
     /// The current EWMA pool utilization the admission gate sees.
@@ -1102,6 +1101,33 @@ mod tests {
         assert!(obs.trace_json.contains("tenant-1"));
         let events = obs::chrome::validate(&obs.trace_json).expect("trace must parse");
         assert!(events > 0);
+    }
+
+    #[test]
+    fn detach_and_wait_on_a_finished_tenant_returns_its_rollup() {
+        // A tenant that ran its whole frame budget is `Completed`, not
+        // `Admitted`: `detach` has nothing to halt, but the rollup exists
+        // and asking for it must not read as a failed drain.
+        let fleet = Fleet::launch(FleetConfig::small(0, 6));
+        let t = fleet.attach(TenantSpec::default());
+        assert!(t.admitted);
+        let give_up = Instant::now() + Duration::from_secs(30);
+        while fleet.tenant_state(t.tenant) != Some(LifecycleState::Completed) {
+            assert!(Instant::now() < give_up, "6 frames at 2 ms never finished");
+            thread::sleep(Duration::from_millis(1));
+        }
+        assert!(!fleet.detach(t.tenant), "nothing left to detach");
+        for _ in 0..2 {
+            let rollup = fleet
+                .detach_and_wait(t.tenant, Duration::ZERO)
+                .expect("a finished tenant's rollup is there, at once, every time");
+            assert_eq!(rollup.digitized, 6);
+            assert_eq!(rollup.stats.frames_completed, 6);
+        }
+        assert!(fleet
+            .detach_and_wait(t.tenant + 1, Duration::from_secs(1))
+            .is_none());
+        let _ = fleet.finish();
     }
 
     #[test]

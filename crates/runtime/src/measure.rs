@@ -14,12 +14,17 @@ use crate::error::RuntimeHealth;
 /// into it (optionally every stage, via [`mark_stage`](Measurements::mark_stage));
 /// `stats` reduces at the end.
 ///
-/// A mark for a timestamp outside the preallocated window is *counted*
-/// (never silently lost, never a panic): see
-/// [`mark_drops`](Measurements::mark_drops) and, when a health ledger is
-/// attached, `HealthReport::mark_drops`.
+/// The mark vectors start empty and grow to the highest timestamp marked,
+/// never past the frame budget given to [`new`](Measurements::new): building
+/// a store costs nothing per budgeted frame, and a run that stops early
+/// never pays for the frames it did not reach. A mark for a timestamp
+/// outside the budget is *counted* (never silently lost, never a panic):
+/// see [`mark_drops`](Measurements::mark_drops) and, when a health ledger
+/// is attached, `HealthReport::mark_drops`.
 #[derive(Debug, Default)]
 pub struct Measurements {
+    /// The frame budget: marks land for `ts < limit` only.
+    limit: usize,
     digitized: Mutex<Vec<Option<Instant>>>,
     completed: Mutex<Vec<Option<Instant>>>,
     /// Per-stage completion instants: `stage_marks[stage][ts]`.
@@ -35,13 +40,28 @@ pub struct Measurements {
     n_shed: AtomicU64,
 }
 
+/// The slot of frame `ts` in `marks`, grown on demand; `None` when `ts` is
+/// outside the frame budget `limit`.
+fn mark_slot(
+    marks: &mut Vec<Option<Instant>>,
+    ts: u64,
+    limit: usize,
+) -> Option<&mut Option<Instant>> {
+    let i = usize::try_from(ts).ok().filter(|&i| i < limit)?;
+    if marks.len() <= i {
+        marks.resize(i + 1, None);
+    }
+    marks.get_mut(i)
+}
+
 impl Measurements {
-    /// Storage for `n_frames` frames (digitize/complete marks only).
+    /// A store for frames `0..n_frames` (digitize/complete marks only).
     #[must_use]
     pub fn new(n_frames: usize) -> Self {
         Measurements {
-            digitized: Mutex::new(vec![None; n_frames]),
-            completed: Mutex::new(vec![None; n_frames]),
+            limit: n_frames,
+            digitized: Mutex::new(Vec::new()),
+            completed: Mutex::new(Vec::new()),
             stage_marks: Mutex::new(Vec::new()),
             mark_drops: AtomicU64::new(0),
             health: Mutex::new(None),
@@ -51,13 +71,12 @@ impl Measurements {
         }
     }
 
-    /// Also preallocate per-stage mark storage for `n_stages` stages, so
-    /// [`mark_stage`](Self::mark_stage) marks land instead of counting as
-    /// drops.
+    /// Also keep per-stage marks for `n_stages` stages, so
+    /// [`mark_stage`](Self::mark_stage) marks land instead of being
+    /// ignored.
     #[must_use]
     pub fn with_stages(self, n_stages: usize) -> Self {
-        let n_frames = self.digitized.lock().len();
-        *self.stage_marks.lock() = vec![vec![None; n_frames]; n_stages];
+        *self.stage_marks.lock() = vec![Vec::new(); n_stages];
         self
     }
 
@@ -76,17 +95,17 @@ impl Measurements {
         }
     }
 
-    /// Marks that arrived outside the preallocated window and were dropped.
+    /// Marks that arrived outside the frame budget and were dropped.
     #[must_use]
     pub fn mark_drops(&self) -> u64 {
         self.mark_drops.load(Ordering::SeqCst)
     }
 
     /// Record that frame `ts` finished digitizing now. A timestamp beyond
-    /// the preallocated window is counted in [`mark_drops`](Self::mark_drops)
+    /// the frame budget is counted in [`mark_drops`](Self::mark_drops)
     /// — measurement must never panic the live path.
     pub fn mark_digitized(&self, ts: u64) {
-        match self.digitized.lock().get_mut(ts as usize) {
+        match mark_slot(&mut self.digitized.lock(), ts, self.limit) {
             Some(slot) => {
                 *slot = Some(Instant::now());
                 self.n_digitized.fetch_add(1, Ordering::Relaxed);
@@ -98,7 +117,7 @@ impl Measurements {
     /// Record that frame `ts` finished all processing now (out-of-window
     /// timestamps are counted, as in [`mark_digitized`](Self::mark_digitized)).
     pub fn mark_completed(&self, ts: u64) {
-        match self.completed.lock().get_mut(ts as usize) {
+        match mark_slot(&mut self.completed.lock(), ts, self.limit) {
             Some(slot) => {
                 *slot = Some(Instant::now());
                 self.n_completed.fetch_add(1, Ordering::Relaxed);
@@ -153,7 +172,7 @@ impl Measurements {
         }
         match marks
             .get_mut(stage)
-            .and_then(|row| row.get_mut(ts as usize))
+            .and_then(|row| mark_slot(row, ts, self.limit))
         {
             Some(slot) => *slot = Some(Instant::now()),
             None => self.on_drop(),
@@ -407,6 +426,60 @@ mod tests {
         assert_eq!(m.mark_drops(), 2);
         assert_eq!(health.report().mark_drops, 2);
         assert_eq!(m.stats(0).frames_completed, 0);
+    }
+
+    #[test]
+    fn marks_land_in_any_order_and_reduce_as_preallocated_storage_would() {
+        use crate::error::RuntimeHealth;
+        // The mark vectors grow on demand, so marks arriving out of frame
+        // order (highest first, gaps, a stage mark before its digitize
+        // mark) must land exactly where eager `limit`-long vectors would
+        // have put them. The expected figures are counted from the sets
+        // marked, not from the store.
+        let limit = 64u64;
+        let shuffled: Vec<u64> = (0..limit).map(|i| (i * 37 + 11) % limit).collect();
+        let health = Arc::new(RuntimeHealth::default());
+        let m = Measurements::new(limit as usize)
+            .with_stages(2)
+            .with_health(Arc::clone(&health));
+        for &ts in shuffled.iter().filter(|&&ts| ts % 3 == 0) {
+            m.mark_stage(1, ts);
+        }
+        for &ts in shuffled.iter().filter(|&&ts| ts % 5 != 0) {
+            m.mark_digitized(ts);
+        }
+        std::thread::sleep(Duration::from_millis(2));
+        for &ts in shuffled.iter().rev().filter(|&&ts| ts % 2 == 0) {
+            m.mark_completed(ts);
+            m.mark_stage(0, ts);
+        }
+        let count = |keep: &dyn Fn(u64) -> bool| (0..limit).filter(|&ts| keep(ts)).count();
+        let both = count(&|ts| ts % 5 != 0 && ts % 2 == 0);
+        assert_eq!(m.digitized_count() as usize, count(&|ts| ts % 5 != 0));
+        assert_eq!(m.completed_count() as usize, count(&|ts| ts % 2 == 0));
+        assert_eq!(m.stats(0).frames_completed as usize, both);
+        assert!(m.stats(0).min_latency >= Duration::from_millis(2));
+        assert_eq!(m.stage_latencies(0).len(), both);
+        // Stage 1 was marked before the digitize marks: the pairs exist,
+        // their latencies saturate to zero.
+        let early = m.stage_latencies(1);
+        assert_eq!(early.len(), count(&|ts| ts % 5 != 0 && ts % 3 == 0));
+        assert!(early.iter().all(|d| *d == Duration::ZERO));
+        assert_eq!(
+            m.over_deadline(Duration::from_millis(1), 4) as usize,
+            both - 4
+        );
+        assert_eq!(m.over_deadline(Duration::from_secs(3600), 0), 0);
+        assert_eq!(m.mark_drops(), 0, "every mark was inside the budget");
+
+        // The budget still bounds the store: marks at or past it are
+        // counted as drops on the store and on the health ledger.
+        m.mark_digitized(limit);
+        m.mark_completed(limit + 7);
+        m.mark_stage(1, u64::MAX);
+        assert_eq!(m.mark_drops(), 3);
+        assert_eq!(health.report().mark_drops, 3);
+        assert_eq!(m.stats(0).frames_completed as usize, both);
     }
 
     #[test]

@@ -16,8 +16,10 @@
 //! needing the boost flag at all.
 //!
 //! The pool *contains* worker faults instead of propagating them: each job
-//! runs under [`std::panic::catch_unwind`], a panicking worker retires and
-//! is lazily respawned (up to a configurable cap), and
+//! runs under [`std::panic::catch_unwind`], a panicking worker retires (the
+//! last one alive finishes the queued backlog first, so no joiner is left
+//! waiting on jobs nobody serves) and is lazily respawned (up to a
+//! configurable cap), and
 //! [`WorkerPool::shutdown`] reports what happened through [`PoolHealth`]
 //! instead of re-raising a worker's panic into the joiner. A job that
 //! panics is consumed — its reply channel drops, which is exactly the
@@ -366,7 +368,18 @@ impl<J: Send + 'static> WorkerPool<J> {
                     if shared.run_contained(handler.as_ref(), job) {
                         shared.panics.fetch_add(1, Ordering::SeqCst);
                         shared.retired.fetch_add(1, Ordering::SeqCst);
-                        shared.live.fetch_sub(1, Ordering::SeqCst);
+                        if shared.live.fetch_sub(1, Ordering::SeqCst) == 1 {
+                            // The last live worker: nobody is left to serve
+                            // what is already queued, and a replacement is
+                            // only spawned by the next `submit` — which never
+                            // comes while every submitter is waiting on
+                            // these very jobs' replies. Finish them first.
+                            while let Some(job) = queue.try_pop() {
+                                if shared.run_contained(handler.as_ref(), job) {
+                                    shared.panics.fetch_add(1, Ordering::SeqCst);
+                                }
+                            }
+                        }
                         shared.note_progress();
                         return;
                     }
@@ -836,11 +849,40 @@ mod tests {
         }
         let health = pool.shutdown();
         assert_eq!(processed.load(Ordering::SeqCst), (1..=20u64).sum::<u64>());
+        // Who ran 11..=20 depends on timing: a respawned worker (a submit
+        // came after the panic), the retiring worker itself (it was the
+        // last one alive and everything was already queued), or shutdown's
+        // inline drain. All of them ran: that is the contract.
         assert_eq!(health.panics, 1);
+    }
+
+    #[test]
+    fn last_worker_to_retire_finishes_the_queue_first() {
+        // Every worker dies while jobs are still queued and nobody will
+        // submit again (the submitters are all waiting on those jobs'
+        // replies): the backlog must still run, or the joiners hang. The
+        // gate holds the doomed job until the backlog is queued behind it.
+        let (gate_tx, gate_rx) = crossbeam::channel::bounded::<()>(1);
+        let (done_tx, done_rx) = crossbeam::channel::bounded::<u64>(4);
+        let pool: WorkerPool<u64> = WorkerPool::new(1, move |j| {
+            if j == 0 {
+                let _ = gate_rx.recv();
+                panic!("injected worker panic");
+            }
+            let _ = done_tx.send(j);
+        });
+        for j in 0..=3u64 {
+            pool.submit(j).unwrap();
+        }
+        gate_tx.send(()).unwrap();
         assert!(
-            health.respawns >= 1 || health.inline_fallbacks > 0,
-            "the lost worker was replaced or its backlog drained inline: {health}"
+            pool.wait_executed(4, Duration::from_secs(30)),
+            "backlog stranded behind the dead worker"
         );
+        let mut ran: Vec<u64> = (0..3).filter_map(|_| done_rx.try_recv().ok()).collect();
+        ran.sort_unstable();
+        assert_eq!(ran, [1, 2, 3], "the backlog ran without another submit");
+        assert_eq!(pool.health().inline_fallbacks, 0);
     }
 
     #[test]

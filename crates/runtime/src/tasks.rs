@@ -396,6 +396,17 @@ impl StageCtx {
         }
     }
 
+    /// Wait, within the deadline budget and off the ledger, until `conn`'s
+    /// producer has settled frame `ts`: put it, skip-marked it, or closed
+    /// the channel. Whatever the outcome, the frame itself is already being
+    /// skipped by the caller.
+    fn await_settled<T>(&self, conn: &InputConn<T>, ts: Timestamp) {
+        let _ = match self.deadline {
+            Some(d) => conn.get_timeout(TsSpec::Exact(ts), d),
+            None => conn.get(TsSpec::Exact(ts)),
+        };
+    }
+
     /// One STM `put` under the degradation policy: a closed channel stops
     /// the task; a rejected late put (straggler overtaken by the watchdog,
     /// or duplicate) drops the frame and is recorded.
@@ -1243,6 +1254,22 @@ impl DetectTask {
     }
 
     fn inputs(&self, ts: Timestamp) -> Result<DetectInputs, FrameFault> {
+        let fetched = self.fetch_inputs(ts);
+        if matches!(fetched, Err(FrameFault::Skip)) {
+            // Skipping the frame advances all three input frontiers, and a
+            // producer that has not settled the frame yet (put it or
+            // skip-marked it) would then have its put rejected as late —
+            // an unplanned drop on the ledger for a frame that was merely
+            // microseconds behind. T2 and T3 start on a frame when T4 does
+            // and T4 no longer trails them by a table build, so wait them
+            // out first.
+            self.ctx.await_settled(&self.in_hist, ts);
+            self.ctx.await_settled(&self.in_mask, ts);
+        }
+        fetched
+    }
+
+    fn fetch_inputs(&self, ts: Timestamp) -> Result<DetectInputs, FrameFault> {
         let frame = self.ctx.get(&self.in_frames, ts)?.value;
         let hist = self.ctx.get(&self.in_hist, ts)?.value;
         let mask = self.ctx.get(&self.in_mask, ts)?.value;

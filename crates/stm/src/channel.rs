@@ -331,6 +331,21 @@ impl<T> Channel<T> {
         self.inner.state.lock().stats
     }
 
+    /// The live-item capacity a `put` blocks on (`None`: unbounded).
+    #[must_use]
+    pub fn capacity(&self) -> Option<usize> {
+        self.inner.state.lock().capacity
+    }
+
+    /// Replace the live-item capacity (see [`ChannelBuilder::capacity`]).
+    /// Producers blocked on the old bound wake and re-check against the new
+    /// one; items already live stay, whatever the new bound.
+    pub fn set_capacity(&self, cap: usize) {
+        assert!(cap > 0, "capacity must be positive");
+        self.inner.state.lock().capacity = Some(cap);
+        self.inner.space_freed.notify_all();
+    }
+
     /// Close the channel for input: pending and future blocking `get`s that
     /// cannot be satisfied fail with `Closed`, and all further puts fail.
     pub fn close(&self) {
@@ -716,6 +731,21 @@ mod tests {
         out.put(Timestamp(0), 10).unwrap();
         out.try_put(Timestamp(1), 11).unwrap();
         assert_eq!(out.try_put(Timestamp(2), 12), Err(PutError::Full));
+    }
+
+    #[test]
+    fn raising_capacity_admits_and_wakes_producers() {
+        let ch: Channel<u32> = Channel::with_capacity("c", 1);
+        assert_eq!(ch.capacity(), Some(1));
+        let out = ch.attach_output();
+        out.put(Timestamp(0), 10).unwrap();
+        assert_eq!(out.try_put(Timestamp(1), 11), Err(PutError::Full));
+        // A producer parked on the old bound (or arriving after the new
+        // one: either way it must return) gets in once there is room.
+        let parked = std::thread::spawn(move || out.put(Timestamp(1), 11));
+        ch.set_capacity(2);
+        parked.join().unwrap().unwrap();
+        assert_eq!((ch.capacity(), ch.len()), (Some(2), 2));
     }
 
     #[test]

@@ -4,7 +4,7 @@
 //! parallel variants" (Fig. 6) obtained by measurement rather than
 //! assumption.
 
-use std::time::Instant;
+use std::time::{Duration, Instant};
 
 use taskgraph::{
     permille_of, CostModel, DataParallelSpec, KernelTier, Micros, SizeModel, TaskGraph,
@@ -39,13 +39,18 @@ pub struct KernelTimes {
     pub detect_chunk_fp4: Micros,
 }
 
+/// The fastest of `reps` runs: interference from the rest of the host only
+/// ever adds time, so the minimum is the estimate least disturbed by it —
+/// and kernels that take tens of microseconds are disturbed easily.
 fn time_it<R>(reps: u32, mut f: impl FnMut() -> R) -> Micros {
     assert!(reps >= 1);
-    let start = Instant::now();
+    let mut fastest = Duration::MAX;
     for _ in 0..reps {
+        let start = Instant::now();
         std::hint::black_box(f());
+        fastest = fastest.min(start.elapsed());
     }
-    Micros((start.elapsed().as_micros() as u64 / u64::from(reps)).max(1))
+    Micros((fastest.as_micros() as u64).max(1))
 }
 
 /// Measure every kernel at each model count in `model_counts`.
@@ -67,10 +72,11 @@ pub fn measure_kernels(
             let digitize = time_it(reps, || scene.render(2));
             let histogram = time_it(reps, || image_histogram(&frame));
             let hist = image_histogram(&frame);
-            let change = time_it(reps, || {
-                change_detection(&frame, Some(&prev), u16::from(DEFAULT_THRESHOLD))
-            });
-            let mask = BitMask::all_set(width, height);
+            let threshold = u16::from(DEFAULT_THRESHOLD);
+            let change = time_it(reps, || change_detection(&frame, Some(&prev), threshold));
+            // T4 costs what its mask selects, so it is timed against the
+            // mask the pipeline would hand it, not an all-set one.
+            let mask = change_detection(&frame, Some(&prev), threshold);
             let detect = if n == 0 {
                 Micros(1)
             } else {
@@ -222,7 +228,7 @@ mod tests {
 
     #[test]
     fn measurement_produces_positive_times() {
-        // reps > 1 for the same load-tolerance reason as the
+        // Fastest of 5, for the same load-tolerance reason as the
         // state-dependence test below.
         let times = measure_kernels(64, 48, &[1, 2], 5);
         assert_eq!(times.len(), 2);
@@ -257,9 +263,10 @@ mod tests {
 
     #[test]
     fn calibrated_graph_is_valid_and_state_dependent() {
-        // reps > 1: a single rep is load-sensitive enough that the 1-model
-        // measurement can out-measure the 4-model one when the whole
-        // workspace suite shares one core.
+        // Fastest of 5: T4 takes tens of microseconds at this size, and a
+        // single rep (or a mean that includes one preempted rep) lets the
+        // 1-model measurement out-measure the 4-model one when the whole
+        // workspace suite shares the host.
         let times = measure_kernels(64, 48, &[1, 4], 5);
         let g = calibrated_tracker(64, 48, &times);
         g.validate().unwrap();

@@ -1,16 +1,27 @@
 //! T4 — Target Detection: Swain–Ballard histogram back projection of every
 //! model over the frame, masked by motion, with a horizontal box filter.
 //! This is "highly compute intensive and a good candidate for
-//! parallelization" (§2.2): cost is `O(pixels × models)` with a large
-//! constant, and the work decomposes along exactly the two axes of Table 1:
+//! parallelization" (§2.2), and the work decomposes along exactly the two
+//! axes of Table 1:
 //!
 //! * **FP** — the frame splits into full-width row strips, so the
 //!   horizontal box filter stays exact per strip;
 //! * **MP** — the model set splits into contiguous ranges.
 //!
-//! Each chunk must recompute the ratio histogram of every model it touches —
-//! the *real* per-model-per-chunk setup cost that makes Table 1's FP=4 row
-//! lose to MP=8 at eight models.
+//! A pixel's score is the model's `16³` ratio histogram
+//! ([`ColorHist::ratio`]) read at the pixel's 6-bit-per-channel colour by
+//! trilinear interpolation. The live kernel ([`target_detection_chunk`])
+//! evaluates that interpolation only at the pixels the change mask selects,
+//! so its cost is `O(masked pixels × models)` plus a box filter over the
+//! strip; the only per-model-per-chunk set-up left is the ratio histogram
+//! itself (4,096 divisions). [`ratio_lut`] tabulates the same function over
+//! all `64³` colours; it and [`target_detection_chunk_scalar`] are the dense
+//! oracle the kernel is tested bit-identical against, not part of the frame
+//! path. On this host
+//! that means frame partitioning no longer loses to model partitioning at
+//! eight models (see the `table1` bench): the set-up term that produced the
+//! paper's Table 1 crossover survives only in the paper-scale cost model
+//! (`taskgraph::builders::color_tracker`).
 //!
 //! The complementary vertical pass lives in T5 ([`crate::peak`]), keeping
 //! the separable smoothing exact under decomposition.
@@ -21,19 +32,61 @@ use crate::frame::{BitMask, Frame, Region};
 /// Horizontal box-filter half-width (full window = `2*HALF + 1` pixels).
 pub const HALF_WINDOW: usize = 7;
 
-/// Bits per channel of the per-model lookup table used at pixel-lookup time
+/// Bits per channel at which a pixel's colour is read for back projection
 /// (finer than the histogram quantization; values between coarse bins are
-/// trilinearly interpolated). Building this LUT is the *model setup* cost
-/// that every chunk pays per model — the physical source of Table 1's
-/// per-model-per-chunk overhead.
+/// trilinearly interpolated).
 pub const LUT_BITS: u32 = 6;
 
-/// Entries per channel of the ratio LUT.
+/// Colour levels per channel at [`LUT_BITS`] (entries per axis of
+/// [`ratio_lut`]).
 pub const LUT_SIZE: usize = 1 << LUT_BITS;
 
-/// Build the back-projection lookup table for one model against the current
-/// image histogram: the Swain–Ballard ratio histogram, upsampled from the
-/// coarse `16³` grid to a smooth `64³` table by trilinear interpolation.
+/// Where one [`LUT_BITS`] colour level falls on the coarse histogram axis:
+/// the two bins it lies between and its fractional distance from the lower.
+type AxisCoord = (usize, usize, f32);
+
+/// [`AxisCoord`] of every colour level — the same coordinates
+/// [`ratio_lut`] computes per cell, so both interpolate identically.
+fn axis_coords() -> [AxisCoord; LUT_SIZE] {
+    let scale = BINS_PER_CHANNEL as f32 / LUT_SIZE as f32;
+    let max_bin = (BINS_PER_CHANNEL - 1) as f32;
+    std::array::from_fn(|v| {
+        let c = ((v as f32 + 0.5) * scale - 0.5).clamp(0.0, max_bin);
+        let lo = c.floor() as usize;
+        let hi = (lo + 1).min(BINS_PER_CHANNEL - 1);
+        (lo, hi, c - lo as f32)
+    })
+}
+
+/// Back-project one pixel: `ratio` (a [`ColorHist::ratio`] grid) read at
+/// the pixel's colour by trilinear interpolation. The expression and its
+/// operand order are those of [`ratio_lut`]'s inner loop, so the result is
+/// bit-identical to `ratio_lut(..)[lut_index(rgb)]` — eight reads of a
+/// 16 KiB grid instead of a 1 MiB table built to be read once.
+#[inline]
+fn back_project(ratio: &[f32], axis: &[AxisCoord; LUT_SIZE], rgb: [u8; 3]) -> f32 {
+    let shift = 8 - LUT_BITS;
+    let (r0, r1, fr) = axis[(rgb[0] >> shift) as usize];
+    let (g0, g1, fg) = axis[(rgb[1] >> shift) as usize];
+    let (b0, b1, fb) = axis[(rgb[2] >> shift) as usize];
+    let at = |r: usize, g: usize, b: usize| -> f32 {
+        ratio[(r << (2 * QUANT_BITS)) | (g << QUANT_BITS) | b]
+    };
+    let c00 = at(r0, g0, b0) * (1.0 - fb) + at(r0, g0, b1) * fb;
+    let c01 = at(r0, g1, b0) * (1.0 - fb) + at(r0, g1, b1) * fb;
+    let c10 = at(r1, g0, b0) * (1.0 - fb) + at(r1, g0, b1) * fb;
+    let c11 = at(r1, g1, b0) * (1.0 - fb) + at(r1, g1, b1) * fb;
+    let c0 = c00 * (1.0 - fg) + c01 * fg;
+    let c1 = c10 * (1.0 - fg) + c11 * fg;
+    c0 * (1.0 - fr) + c1 * fr
+}
+
+/// The dense form of the back projection: one model's ratio histogram
+/// against the current image histogram, upsampled from the coarse `16³`
+/// grid to a `64³` table by trilinear interpolation. Building it costs
+/// 262,144 cells however few pixels are then looked up, so the frame path
+/// does not call it; it is the oracle [`target_detection_chunk`] is tested
+/// against (through [`target_detection_chunk_scalar`]).
 #[must_use]
 pub fn ratio_lut(model: &ColorHist, image: &ColorHist) -> Box<[f32]> {
     let ratio = model.ratio(image);
@@ -194,9 +247,11 @@ pub struct PartialScores {
     pub data: Vec<f32>,
 }
 
-/// Execute one chunk (the worker of Fig. 9). Recomputes the ratio histogram
-/// for every model in range — the replicated setup cost of frame
-/// partitioning.
+/// Execute one chunk (the worker of Fig. 9): for every model in range,
+/// back-project the strip's masked pixels and box-filter its rows. Per-model
+/// set-up is the model's ratio histogram; the back projection is
+/// proportional to the mask population, the filter to the strip area.
+/// Bit-identical to [`target_detection_chunk_scalar`].
 #[must_use]
 pub fn target_detection_chunk(
     frame: &Frame,
@@ -211,6 +266,12 @@ pub fn target_detection_chunk(
         frame.width,
         "chunks must be full-width strips"
     );
+    let w = region.width();
+    let axis = axis_coords();
+    // One raw (unfiltered) row, shared by every row and model of the chunk:
+    // all zeros whenever a row starts, masked pixels written, filtered into
+    // the output plane, zeroed again.
+    let mut raw_row = vec![0.0f32; w];
     let mut out = Vec::with_capacity(chunk.model_hi - chunk.model_lo);
     for (m, model) in models
         .iter()
@@ -218,45 +279,16 @@ pub fn target_detection_chunk(
         .take(chunk.model_hi)
         .skip(chunk.model_lo)
     {
-        // Per-model setup, paid by every chunk that touches the model.
-        let lut = ratio_lut(model, image_hist);
-        let w = region.width();
-        let mut raw = vec![0.0f32; region.area()];
-        for (ry, y) in (region.y0..region.y1).enumerate() {
-            // Row-slice fast path: one bounds check per row for the pixel
-            // bytes and the output row, a running linear bit cursor for the
-            // mask (chunks are full-width strips, so the row starts at
-            // bit y * width).
-            let row = frame.row(y);
-            let raw_row = &mut raw[ry * w..(ry + 1) * w];
-            let row_bit = y * frame.width;
-            for (x, px) in row.chunks_exact(3).enumerate() {
-                if mask.get_linear(row_bit + x) {
-                    raw_row[x] = lut[lut_index([px[0], px[1], px[2]])];
-                }
-            }
-        }
-        // Horizontal box filter (running sum), exact within the full-width
-        // strip.
+        let ratio = model.ratio(image_hist);
         let mut data = vec![0.0f32; region.area()];
-        for ry in 0..region.height() {
-            let row = &raw[ry * w..(ry + 1) * w];
-            let mut acc = 0.0f32;
-            // Initial window [0, HALF].
-            for &v in &row[..=HALF_WINDOW.min(w - 1)] {
-                acc += v;
-            }
-            for x in 0..w {
-                data[ry * w + x] = acc;
-                // Slide: add x + HALF + 1, drop x - HALF.
-                let add = x + HALF_WINDOW + 1;
-                if add < w {
-                    acc += row[add];
-                }
-                if x >= HALF_WINDOW {
-                    acc -= row[x - HALF_WINDOW];
-                }
-            }
+        for (y, out_row) in (region.y0..region.y1).zip(data.chunks_exact_mut(w)) {
+            let row = frame.row(y);
+            mask.for_each_set_in_row(y, |x| {
+                let rgb = [row[3 * x], row[3 * x + 1], row[3 * x + 2]];
+                raw_row[x] = back_project(&ratio, &axis, rgb);
+            });
+            box_filter_row(&raw_row, out_row);
+            raw_row.fill(0.0);
         }
         out.push(PartialScores {
             model: m,
@@ -265,6 +297,28 @@ pub fn target_detection_chunk(
         });
     }
     out
+}
+
+/// Horizontal box filter of one row (running sum over a `2 * HALF_WINDOW + 1`
+/// window, clipped at the row ends), in the oracle's operation order.
+fn box_filter_row(raw: &[f32], out: &mut [f32]) {
+    let w = raw.len();
+    let mut acc = 0.0f32;
+    // Initial window [0, HALF].
+    for &v in &raw[..=HALF_WINDOW.min(w - 1)] {
+        acc += v;
+    }
+    for x in 0..w {
+        out[x] = acc;
+        // Slide: add x + HALF + 1, drop x - HALF.
+        let add = x + HALF_WINDOW + 1;
+        if add < w {
+            acc += raw[add];
+        }
+        if x >= HALF_WINDOW {
+            acc -= raw[x - HALF_WINDOW];
+        }
+    }
 }
 
 /// Reference pixel-at-a-time implementation of [`target_detection_chunk`];
@@ -490,7 +544,7 @@ mod tests {
     fn sliced_chunk_matches_scalar_exactly() {
         let (f, models) = red_square_frame();
         let hist = image_histogram(&f);
-        // A structured motion mask (not all-set) so the mask cursor path is
+        // A structured motion mask (not all-set) so the mask word walk is
         // exercised on both bit values.
         let mut mask = BitMask::new(f.width, f.height);
         for y in 0..f.height {
@@ -549,6 +603,33 @@ mod tests {
         assert!(lut[lut_index([30, 220, 30])] < 0.05);
         assert!(got > 10.0 * lut[lut_index([30, 220, 30])].max(1e-9));
         assert_eq!(lut.len(), LUT_SIZE * LUT_SIZE * LUT_SIZE);
+    }
+
+    #[test]
+    fn per_pixel_back_projection_equals_the_table_at_every_colour() {
+        // A model/image pair with many occupied bins, so interpolation
+        // between unequal neighbours is exercised along all three axes.
+        let scene = crate::synth::Scene::demo(64, 48, 2, 9);
+        let model = &scene.models()[0];
+        let image = image_histogram(&scene.render(1));
+        let lut = ratio_lut(model, &image);
+        let ratio = model.ratio(&image);
+        let axis = axis_coords();
+        let shift = 8 - LUT_BITS;
+        for r in 0..LUT_SIZE as u8 {
+            for g in 0..LUT_SIZE as u8 {
+                for b in 0..LUT_SIZE as u8 {
+                    // Low bits set: they must not reach the result.
+                    let rgb = [(r << shift) | 3, (g << shift) | 1, (b << shift) | 2];
+                    let got = back_project(&ratio, &axis, rgb);
+                    assert_eq!(
+                        got.to_bits(),
+                        lut[lut_index(rgb)].to_bits(),
+                        "colour {rgb:?}"
+                    );
+                }
+            }
+        }
     }
 
     #[test]

@@ -238,11 +238,29 @@ impl BitMask {
         self.bits[w] & m != 0
     }
 
-    /// Read one bit by linear index (`bit = y * width + x`); lets row loops
-    /// keep a running bit cursor instead of redoing the 2-D index math.
+    /// Call `f(x)` for every set bit of row `y`, in ascending `x`. Walks
+    /// the row's words with `trailing_zeros`, so a sparse mask costs one
+    /// test per word plus one step per set bit. Rows are not word-aligned
+    /// (`bit = y * width + x`): bits a word shares with the neighbouring
+    /// rows, and the padding past the last row, are masked off.
     #[inline]
-    pub(crate) fn get_linear(&self, bit: usize) -> bool {
-        self.bits[bit / 64] & (1u64 << (bit % 64)) != 0
+    pub(crate) fn for_each_set_in_row(&self, y: usize, mut f: impl FnMut(usize)) {
+        let start = y * self.width;
+        let end = start + self.width;
+        for wi in start / 64..end.div_ceil(64) {
+            let base = wi * 64;
+            let mut word = self.bits[wi];
+            if base < start {
+                word &= u64::MAX << (start - base);
+            }
+            if base + 64 > end {
+                word &= u64::MAX >> (base + 64 - end);
+            }
+            while word != 0 {
+                f(base + word.trailing_zeros() as usize - start);
+                word &= word - 1;
+            }
+        }
     }
 
     /// Set one bit.
@@ -377,7 +395,28 @@ mod tests {
         assert_eq!(m, BitMask::new(33, 3));
         m.fill_all();
         assert_eq!(m, BitMask::all_set(33, 3));
-        assert!(m.get_linear(2 * 33 + 32));
+    }
+
+    #[test]
+    fn row_walk_visits_exactly_the_rows_set_bits() {
+        // Widths below, at, and straddling the word size; the all-set mask
+        // also has its padding bits set, which the last row must not see.
+        for (w, h) in [(5, 4), (33, 3), (64, 2), (100, 3), (130, 2)] {
+            let mut m = BitMask::new(w, h);
+            for y in 0..h {
+                for x in 0..w {
+                    m.set(x, y, (x * 7 + y * 3) % 5 < 2);
+                }
+            }
+            for mask in [m, BitMask::all_set(w, h), BitMask::new(w, h)] {
+                for y in 0..h {
+                    let mut walked = Vec::new();
+                    mask.for_each_set_in_row(y, |x| walked.push(x));
+                    let want: Vec<usize> = (0..w).filter(|&x| mask.get(x, y)).collect();
+                    assert_eq!(walked, want, "{w}x{h} row {y}");
+                }
+            }
+        }
     }
 
     #[test]
