@@ -150,6 +150,19 @@ mod tests {
         a.sort_unstable();
         b.sort_unstable();
         assert_eq!(a, b);
+
+        // The scheduled run traded the one-slot memory bound on "Back
+        // Projections" for the configured capacity; the online run kept it.
+        let scores_cap = |app: &TrackerApp| {
+            app.channel_checks(0)
+                .into_iter()
+                .find(|c| c.name == "Back Projections")
+                .map(|c| c.capacity)
+        };
+        let configured = TrackerConfig::small(2, 4).channel_capacity as u32;
+        assert!(configured > 1);
+        assert_eq!(scores_cap(&scheduled), Some(configured));
+        assert_eq!(scores_cap(&online), Some(1));
     }
 
     #[test]

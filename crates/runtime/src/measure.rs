@@ -17,7 +17,11 @@ use crate::error::RuntimeHealth;
 /// The mark vectors start empty and grow to the highest timestamp marked,
 /// never past the frame budget given to [`new`](Measurements::new): building
 /// a store costs nothing per budgeted frame, and a run that stops early
-/// never pays for the frames it did not reach. A mark for a timestamp
+/// never pays for the frames it did not reach. (Reserving the budget with
+/// `Vec::with_capacity` instead would spare the dozen doubling
+/// reallocations a 4,096-frame run makes under the mark lock, but costs
+/// 9-12 % of a four-tenant fleet's set-up time: measured, see
+/// EXPERIMENTS.md "PR 12".) A mark for a timestamp
 /// outside the budget is *counted* (never silently lost, never a panic):
 /// see [`mark_drops`](Measurements::mark_drops) and, when a health ledger
 /// is attached, `HealthReport::mark_drops`.

@@ -18,7 +18,8 @@
 //! The pool *contains* worker faults instead of propagating them: each job
 //! runs under [`std::panic::catch_unwind`], a panicking worker retires (the
 //! last one alive finishes the queued backlog first, so no joiner is left
-//! waiting on jobs nobody serves) and is lazily respawned (up to a
+//! waiting on jobs nobody serves — counted in
+//! [`PoolHealth::retiree_drains`]) and is lazily respawned (up to a
 //! configurable cap), and
 //! [`WorkerPool::shutdown`] reports what happened through [`PoolHealth`]
 //! instead of re-raising a worker's panic into the joiner. A job that
@@ -109,6 +110,9 @@ pub struct PoolHealth {
     /// Jobs handed back to callers (or drained at shutdown) for inline
     /// execution instead of running on a pool worker.
     pub inline_fallbacks: u64,
+    /// Queued jobs the last live worker ran on its way out after a
+    /// contained panic, because nobody else was left to serve them.
+    pub retiree_drains: u64,
 }
 
 impl PoolHealth {
@@ -123,8 +127,8 @@ impl std::fmt::Display for PoolHealth {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
         write!(
             f,
-            "panics={} respawns={} inline-fallbacks={}",
-            self.panics, self.respawns, self.inline_fallbacks
+            "panics={} respawns={} inline-fallbacks={} retiree-drains={}",
+            self.panics, self.respawns, self.inline_fallbacks, self.retiree_drains
         )
     }
 }
@@ -134,6 +138,7 @@ struct Shared {
     panics: AtomicU64,
     respawns: AtomicU64,
     inline_fallbacks: AtomicU64,
+    retiree_drains: AtomicU64,
     /// Workers that retired after a contained panic and await respawn.
     retired: AtomicUsize,
     /// Workers currently running their receive loop.
@@ -161,6 +166,7 @@ impl Default for Shared {
             panics: AtomicU64::new(0),
             respawns: AtomicU64::new(0),
             inline_fallbacks: AtomicU64::new(0),
+            retiree_drains: AtomicU64::new(0),
             retired: AtomicUsize::new(0),
             live: AtomicUsize::new(0),
             submitted: AtomicU64::new(0),
@@ -178,6 +184,7 @@ impl Shared {
             panics: self.panics.load(Ordering::SeqCst),
             respawns: self.respawns.load(Ordering::SeqCst),
             inline_fallbacks: self.inline_fallbacks.load(Ordering::SeqCst),
+            retiree_drains: self.retiree_drains.load(Ordering::SeqCst),
         }
     }
 
@@ -362,19 +369,22 @@ impl<J: Send + 'static> WorkerPool<J> {
                 while let Some(job) = queue.pop() {
                     // Contain the fault: the job is consumed either way, so
                     // a panicking chunk drops its reply sender and the
-                    // joiner recomputes it inline. The worker retires (its
-                    // stack may hold poisoned state) and `heal` respawns a
-                    // fresh one.
+                    // joiner recomputes it inline. The worker retires as a
+                    // precaution (the unwind left its stack clean, but
+                    // thread-local state the handler touched may not be)
+                    // and `heal` respawns a fresh one on the next submit.
                     if shared.run_contained(handler.as_ref(), job) {
                         shared.panics.fetch_add(1, Ordering::SeqCst);
                         shared.retired.fetch_add(1, Ordering::SeqCst);
                         if shared.live.fetch_sub(1, Ordering::SeqCst) == 1 {
                             // The last live worker: nobody is left to serve
-                            // what is already queued, and a replacement is
-                            // only spawned by the next `submit` — which never
-                            // comes while every submitter is waiting on
-                            // these very jobs' replies. Finish them first.
+                            // what is already queued, and `heal` never runs
+                            // while every submitter is waiting on these very
+                            // jobs' replies. A suspect thread finishing them
+                            // beats a hang; each one is counted in the
+                            // ledger so the exception stays visible.
                             while let Some(job) = queue.try_pop() {
+                                shared.retiree_drains.fetch_add(1, Ordering::SeqCst);
                                 if shared.run_contained(handler.as_ref(), job) {
                                     shared.panics.fetch_add(1, Ordering::SeqCst);
                                 }
@@ -849,11 +859,15 @@ mod tests {
         }
         let health = pool.shutdown();
         assert_eq!(processed.load(Ordering::SeqCst), (1..=20u64).sum::<u64>());
-        // Who ran 11..=20 depends on timing: a respawned worker (a submit
-        // came after the panic), the retiring worker itself (it was the
-        // last one alive and everything was already queued), or shutdown's
-        // inline drain. All of them ran: that is the contract.
         assert_eq!(health.panics, 1);
+        // Who ran the backlog depends on timing: a respawned worker (a
+        // submit came after the panic), shutdown's inline drain, or the
+        // retiring worker itself (it was the last one alive and everything
+        // was already queued). One of them must own up to it.
+        assert!(
+            health.respawns >= 1 || health.inline_fallbacks > 0 || health.retiree_drains > 0,
+            "the lost worker was replaced or its backlog drained: {health}"
+        );
     }
 
     #[test]
@@ -882,7 +896,9 @@ mod tests {
         let mut ran: Vec<u64> = (0..3).filter_map(|_| done_rx.try_recv().ok()).collect();
         ran.sort_unstable();
         assert_eq!(ran, [1, 2, 3], "the backlog ran without another submit");
-        assert_eq!(pool.health().inline_fallbacks, 0);
+        let health = pool.health();
+        assert_eq!(health.inline_fallbacks, 0);
+        assert_eq!(health.retiree_drains, 3);
     }
 
     #[test]
@@ -974,7 +990,7 @@ mod tests {
         assert!(pool.health().is_clean());
         assert_eq!(
             pool.health().to_string(),
-            "panics=0 respawns=0 inline-fallbacks=0"
+            "panics=0 respawns=0 inline-fallbacks=0 retiree-drains=0"
         );
     }
 }

@@ -396,13 +396,18 @@ impl StageCtx {
         }
     }
 
-    /// Wait, within the deadline budget and off the ledger, until `conn`'s
-    /// producer has settled frame `ts`: put it, skip-marked it, or closed
-    /// the channel. Whatever the outcome, the frame itself is already being
-    /// skipped by the caller.
-    fn await_settled<T>(&self, conn: &InputConn<T>, ts: Timestamp) {
+    /// Wait, off the ledger, until `conn`'s producer has settled frame `ts`:
+    /// put it, skip-marked it, or closed the channel. The wait ends with
+    /// the one deadline budget that started at `since`, so a skip that
+    /// already burned the budget (a timed-out get) waits no further.
+    /// Whatever the outcome, the frame itself is already being skipped by
+    /// the caller.
+    fn await_settled<T>(&self, conn: &InputConn<T>, ts: Timestamp, since: Instant) {
         let _ = match self.deadline {
-            Some(d) => conn.get_timeout(TsSpec::Exact(ts), d),
+            Some(d) => match d.checked_sub(since.elapsed()) {
+                Some(left) if !left.is_zero() => conn.get_timeout(TsSpec::Exact(ts), left),
+                _ => return,
+            },
             None => conn.get(TsSpec::Exact(ts)),
         };
     }
@@ -1254,6 +1259,7 @@ impl DetectTask {
     }
 
     fn inputs(&self, ts: Timestamp) -> Result<DetectInputs, FrameFault> {
+        let since = Instant::now();
         let fetched = self.fetch_inputs(ts);
         if matches!(fetched, Err(FrameFault::Skip)) {
             // Skipping the frame advances all three input frontiers, and a
@@ -1262,9 +1268,11 @@ impl DetectTask {
             // an unplanned drop on the ledger for a frame that was merely
             // microseconds behind. T2 and T3 start on a frame when T4 does
             // and T4 no longer trails them by a table build, so wait them
-            // out first.
-            self.ctx.await_settled(&self.in_hist, ts);
-            self.ctx.await_settled(&self.in_mask, ts);
+            // out first — but only for what is left of this frame's budget:
+            // a producer stalled past it is the watchdog's case, and T5 is
+            // already counting its own deadline on the next frame.
+            self.ctx.await_settled(&self.in_hist, ts, since);
+            self.ctx.await_settled(&self.in_mask, ts, since);
         }
         fetched
     }

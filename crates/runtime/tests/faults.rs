@@ -35,8 +35,8 @@ use std::time::Duration;
 
 use proptest::prelude::*;
 use runtime::{
-    FaultInjector, FaultPlan, HealthReport, OnlineExecutor, RegimeController, Stage, TrackerApp,
-    TrackerConfig,
+    FaultInjector, FaultPlan, HealthReport, OnlineExecutor, RegimeController, RuntimeError, Stage,
+    TrackerApp, TrackerConfig,
 };
 use vision::ModelLocation;
 
@@ -287,6 +287,51 @@ fn sub_budget_delays_are_absorbed_bit_identically() {
     assert_eq!(inj.injected().delays, plan.n_delays());
     let h = app.health.report();
     assert!(h.is_clean(), "sub-budget stragglers leave no trace: {h}");
+}
+
+#[test]
+fn a_stall_past_the_budget_costs_only_the_stalled_frames() {
+    // T2 sleeps 2.5 budgets before frame 4. The watchdog overtakes it: T4
+    // and T5 each give up on a frame once per budget, in step, so by the
+    // time T2 wakes the frames inside the stall are gone and its own late
+    // puts are rejected — that much is the plan. What must not happen is
+    // T4 sitting on a frame it has already given up on (T5's clock keeps
+    // running): its next frame's scores would then arrive after T5 moved
+    // past them and be rejected too.
+    let n = 12;
+    let stalled = 4u64;
+    let clean = clean_locations(|| faulted_cfg(n, None), || None);
+
+    let inj = FaultPlan::new()
+        .delay(Stage::Histogram, stalled, BUDGET * 5 / 2)
+        .build();
+    let (app, faulted) = run_locations(&faulted_cfg(n, Some(Arc::clone(&inj))), None);
+    assert_eq!(inj.injected().delays, 1);
+
+    let missing: Vec<u64> = (0..n)
+        .filter(|ts| !faulted.iter().any(|(t, _)| t == ts))
+        .collect();
+    assert!(missing.contains(&stalled), "the stalled frame drops");
+    assert!(
+        missing.iter().all(|ts| (stalled..stalled + 3).contains(ts)),
+        "only frames inside the stall drop: {missing:?}"
+    );
+    let clean_survivors: Vec<_> = clean
+        .iter()
+        .filter(|(ts, _)| !missing.contains(ts))
+        .cloned()
+        .collect();
+    assert_eq!(faulted, clean_survivors, "survivors are bit-identical");
+    let foreign_put_drops: Vec<_> = app
+        .health
+        .faults()
+        .into_iter()
+        .filter(|f| matches!(f, RuntimeError::StmPut { stage, .. } if *stage != Stage::Histogram))
+        .collect();
+    assert!(
+        foreign_put_drops.is_empty(),
+        "only the straggler's own late puts are rejected: {foreign_put_drops:?}"
+    );
 }
 
 #[test]

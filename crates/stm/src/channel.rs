@@ -340,6 +340,12 @@ impl<T> Channel<T> {
     /// Replace the live-item capacity (see [`ChannelBuilder::capacity`]).
     /// Producers blocked on the old bound wake and re-check against the new
     /// one; items already live stay, whatever the new bound.
+    ///
+    /// Not general API: capacity belongs to the builder. The one caller is
+    /// the tracker's scheduled executor, which learns only after the app's
+    /// channels are built that it needs more than one "Back Projections"
+    /// slot.
+    #[doc(hidden)]
     pub fn set_capacity(&self, cap: usize) {
         assert!(cap > 0, "capacity must be positive");
         self.inner.state.lock().capacity = Some(cap);
