@@ -35,7 +35,7 @@ const DEFAULT_FAULT_DEADLINE: Duration = Duration::from_millis(400);
 /// while T5 holds *f*. A deeper queue buys no throughput; it only lets a
 /// free-running pipeline's backlog pile up in its most expensive place.
 /// (The scheduled executor, whose T4 instances finish out of order, widens
-/// it again: see `TrackerApp::widen_scores_for_schedule`.)
+/// it again: see `TrackerApp::widen_for_schedule`.)
 const SCORES_CAPACITY: usize = 1;
 
 /// Floor of the "Frame" channel's capacity. T3 differences frame *ts*
@@ -43,6 +43,30 @@ const SCORES_CAPACITY: usize = 1;
 /// frame; with a single slot the digitizer can never `put` frame *ts* while
 /// T3 still holds *ts − 1*, and an unpaced run deadlocks.
 const MIN_FRAME_CAPACITY: usize = 2;
+
+/// Bytes of frames the "Frame" channel admits before the digitizer blocks,
+/// however many items [`TrackerConfig::channel_capacity`] allows. The
+/// channel is the pipeline's admission valve — "Color Model" and "Motion
+/// Mask" can hold no more items than there are frames in flight — so an
+/// item count makes the tracker's memory grow with the resolution: eight
+/// 640×480 frames are 7 MiB. Three slots already keep every stage busy
+/// (T3 trails on *ts − 1*, T2–T4 work on *ts*, the digitizer lands
+/// *ts + 1*). Past that the queue buys no throughput once T4 stops being
+/// the frame: the digitizer and its consumers are then evenly matched, the
+/// backlog random-walks, and the high-water mark of a 400-frame run lands
+/// anywhere between 3 and 8 frames (4–8.6 MiB at 640×480, run to run). At
+/// the budget it is 3 frames every run; frames of 384 KiB or less keep the
+/// configured capacity of 8.
+const FRAME_CHANNEL_BUDGET_BYTES: usize = 3 << 20;
+
+/// Slots of the "Frame" channel: the configured capacity, cut to the byte
+/// budget, never below the floor.
+fn frame_capacity(cfg: &TrackerConfig) -> usize {
+    let frame_bytes = (cfg.width * cfg.height * 3).max(1);
+    cfg.channel_capacity
+        .min(FRAME_CHANNEL_BUDGET_BYTES / frame_bytes)
+        .max(MIN_FRAME_CAPACITY)
+}
 
 /// Configuration of a tracker run.
 #[derive(Clone, Debug)]
@@ -59,7 +83,10 @@ pub struct TrackerConfig {
     pub n_frames: u64,
     /// Digitizer period (the §3.1 tuning knob).
     pub period: Duration,
-    /// STM channel capacity (flow control).
+    /// STM channel capacity (flow control), in items. Two channels bound
+    /// themselves tighter: "Back Projections" holds one item and "Frame" at
+    /// most 3 MiB of frames (see `SCORES_CAPACITY` and
+    /// `FRAME_CHANNEL_BUDGET_BYTES` in this module for why).
     pub channel_capacity: usize,
     /// Fixed (FP, MP) decomposition for T4.
     pub decomposition: (u32, u32),
@@ -349,7 +376,7 @@ impl TrackerApp {
         // figures the fleet memory rollup and the stmstore GC budget use.
         let cap = cfg.channel_capacity;
         let frames: Channel<PooledFrame> = ChannelBuilder::new("Frame")
-            .capacity(cap.max(MIN_FRAME_CAPACITY))
+            .capacity(frame_capacity(cfg))
             .build_weighed(weigh_frame);
         let hist: Channel<ColorHist> = ChannelBuilder::new("Color Model")
             .capacity(cap)
@@ -540,15 +567,19 @@ impl TrackerApp {
         self.pool.as_ref().map(|p| (p.submitted(), p.executed()))
     }
 
-    /// Give "Back Projections" the configured capacity instead of its one
-    /// slot. For the scheduled executor only: its masters run instances of
-    /// T4 for different frames concurrently and finish them out of order,
-    /// while T5 frees items in frame order — with one slot, frame *f + 1*
-    /// landing first would lock frame *f* out for good. There the schedule
-    /// bounds the frames in flight; the slot count only has to cover them,
-    /// which is what callers size `channel_capacity` for.
-    pub(crate) fn widen_scores_for_schedule(&self) {
+    /// Give "Back Projections" and "Frame" the configured capacity instead
+    /// of their one slot and byte budget. For the scheduled executor only:
+    /// its masters run instances of T4 for different frames concurrently
+    /// and finish them out of order, while T5 frees items in frame order —
+    /// with one slot, frame *f + 1* landing first would lock frame *f* out
+    /// for good. There the schedule bounds the frames in flight; the slot
+    /// counts only have to cover them, which is what callers size
+    /// `channel_capacity` for.
+    pub(crate) fn widen_for_schedule(&self) {
         self.channels.scores.set_capacity(self.channel_capacity);
+        self.channels
+            .frames
+            .set_capacity(self.channel_capacity.max(MIN_FRAME_CAPACITY));
     }
 
     /// Per-channel occupancy rows for the schedule-conformance checker:

@@ -35,7 +35,7 @@ impl ScheduledExecutor {
         );
         let n_frames = app.n_frames;
         let n_procs = sched.n_procs;
-        app.widen_scores_for_schedule();
+        app.widen_for_schedule();
 
         // Per-virtual-processor placement sequences, in start order.
         let mut by_vproc: Vec<Vec<usize>> = vec![Vec::new(); n_procs as usize];

@@ -1,8 +1,8 @@
 //! Channel capacities the app fixes itself, whatever
 //! `TrackerConfig::channel_capacity` says: the "Frame" channel never has
-//! fewer than two slots (one would deadlock an unpaced run), and the "Back
-//! Projections" channel never has more than one (its items are the
-//! pipeline's fattest payload).
+//! fewer than two slots (one would deadlock an unpaced run) nor admits more
+//! than 3 MiB of frames, and the "Back Projections" channel never has more
+//! than one slot (its items are the pipeline's fattest payload).
 
 use std::sync::mpsc;
 use std::thread;
@@ -58,4 +58,47 @@ fn back_projections_hold_one_item_under_a_saturated_crowd() {
     let pool = app.pool_health().expect("a pool is attached");
     assert!(pool.is_clean(), "pool faults: {pool}");
     assert!(app.health.report().is_clean(), "{}", app.health.report());
+}
+
+#[test]
+fn frame_channel_is_bounded_in_bytes_not_only_in_items() {
+    let frame_cap = |app: &TrackerApp| {
+        app.channel_checks(0)
+            .into_iter()
+            .find(|c| c.name == "Frame")
+            .map(|c| c.capacity)
+    };
+    // Small frames: the configured eight slots stand.
+    let small = TrackerConfig::small(1, 4);
+    assert_eq!(small.channel_capacity, 8);
+    assert_eq!(frame_cap(&TrackerApp::build(&small, None)), Some(8));
+
+    // 640×480: 900 KiB a frame, three to the budget. An unpaced run fills
+    // them and no more, and "Color Model"/"Motion Mask" (eight slots each)
+    // cannot hold more items than there are frames in flight.
+    let mut wide = small.clone();
+    (wide.width, wide.height, wide.n_frames) = (640, 480, 24);
+    wide.period = Duration::ZERO;
+    let app = TrackerApp::build(&wide, None);
+    assert_eq!(frame_cap(&app), Some(3));
+    let stats = OnlineExecutor::run(&app, 0);
+    assert_eq!(stats.frames_completed, 24);
+    let frame_bytes = 640 * 480 * 3;
+    let (_, _, peak) = app
+        .channel_bytes()
+        .into_iter()
+        .find(|&(name, _, _)| name == "Frame")
+        .expect("the app has a Frame channel");
+    assert!(peak <= 3 * frame_bytes, "Frame peaked at {peak} B");
+    for c in app.channel_checks(0) {
+        if matches!(c.name.as_str(), "Color Model" | "Motion Mask") {
+            assert!(c.peak_live <= 3, "{} held {} items", c.name, c.peak_live);
+        }
+    }
+    assert!(app.health.report().is_clean(), "{}", app.health.report());
+
+    // A frame larger than the whole budget still gets the two slots
+    // without which an unpaced run deadlocks.
+    (wide.width, wide.height) = (1920, 1080);
+    assert_eq!(frame_cap(&TrackerApp::build(&wide, None)), Some(2));
 }

@@ -343,8 +343,8 @@ impl<T> Channel<T> {
     ///
     /// Not general API: capacity belongs to the builder. The one caller is
     /// the tracker's scheduled executor, which learns only after the app's
-    /// channels are built that it needs more than one "Back Projections"
-    /// slot.
+    /// channels are built that it needs the configured capacity on the two
+    /// channels the app bounds tighter ("Back Projections", "Frame").
     #[doc(hidden)]
     pub fn set_capacity(&self, cap: usize) {
         assert!(cap > 0, "capacity must be positive");
