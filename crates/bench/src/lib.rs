@@ -1,11 +1,13 @@
 //! # Experiment harnesses
 //!
-//! One binary per table/figure of the paper's evaluation, plus extension
-//! experiments. Each prints a self-describing report with the paper's
-//! numbers alongside the measured ones, and emits machine-readable CSV
-//! blocks (lines prefixed `csv,`) for downstream plotting.
+//! The `paper` binary regenerates the paper's evaluation, one module per
+//! table/figure plus extension experiments (`paper <report>|all [--out
+//! DIR]`). Each report prints the paper's numbers alongside the measured
+//! ones, emits machine-readable CSV blocks (lines prefixed `csv,`) for
+//! downstream plotting, and exits nonzero when a shape check fails. The
+//! `cds` binary is the operator's planning tool.
 //!
-//! | binary | reproduces |
+//! | report | reproduces |
 //! |---|---|
 //! | `table1` | Table 1 — data-decomposition latencies (real kernels + cost model) |
 //! | `fig3` | Fig. 3 — tuning curve vs the precomputed optimal point |
@@ -13,11 +15,12 @@
 //! | `fig5` | Fig. 5 — task-parallel and task+data-parallel optimal schedules |
 //! | `regime_switch` | §3.4 — regime switching under a dynamic customer process |
 //! | `ablation` | extension — enumerator vs list scheduling vs pipeline across states |
+//! | `multinode` | §3.3 — whole-cluster optimum vs node-confined pipelining |
+//! | `surveillance_sweep` | extension — regime switching on the surveillance graph |
+//! | `robustness` | extension — precomputed schedules under task-cost noise |
+//! | `scaling` | extension — optimal latency and II as processors grow |
 
 use std::fmt::Display;
-use std::fmt::Write as _;
-use std::io;
-use std::path::Path;
 
 /// Print an aligned text table with a title.
 pub fn print_table<H: Display, C: Display>(title: &str, headers: &[H], rows: &[Vec<C>]) {
@@ -70,127 +73,6 @@ pub fn run_checks<S: Display>(checks: &[(S, bool)]) {
     }
 }
 
-/// A JSON scalar for [`JsonReport`] fields — the two shapes bench results
-/// actually need. Numbers render via `f64`'s shortest round-trip form;
-/// non-finite values become `null` so the file always parses.
-pub enum Json {
-    /// A number.
-    Num(f64),
-    /// A string, escaped on render.
-    Str(String),
-}
-
-impl Json {
-    fn render(&self, out: &mut String) {
-        match self {
-            Json::Num(v) if v.is_finite() => {
-                let _ = write!(out, "{v}");
-            }
-            Json::Num(_) => out.push_str("null"),
-            Json::Str(s) => {
-                out.push('"');
-                for c in s.chars() {
-                    match c {
-                        '"' => out.push_str("\\\""),
-                        '\\' => out.push_str("\\\\"),
-                        '\n' => out.push_str("\\n"),
-                        '\t' => out.push_str("\\t"),
-                        '\r' => out.push_str("\\r"),
-                        c if (c as u32) < 0x20 => {
-                            let _ = write!(out, "\\u{:04x}", c as u32);
-                        }
-                        c => out.push(c),
-                    }
-                }
-                out.push('"');
-            }
-        }
-    }
-}
-
-/// A machine-readable results file: top-level metadata plus a flat `rows`
-/// array of uniform objects. Dependency-free by design (the workspace bakes
-/// no serde); the output is plain, stable JSON for downstream tooling:
-///
-/// ```json
-/// {"bench": "simd", "host_features": "sse2+ssse3+avx2", "rows": [
-///   {"kernel": "change_detection", "backend": "simd", "ns_per_op": 123.0}
-/// ]}
-/// ```
-#[derive(Default)]
-pub struct JsonReport {
-    meta: Vec<(String, Json)>,
-    rows: Vec<Vec<(String, Json)>>,
-}
-
-impl JsonReport {
-    /// A report whose first metadata field names the benchmark.
-    #[must_use]
-    pub fn new(bench: &str) -> Self {
-        let mut r = JsonReport::default();
-        r.meta("bench", Json::Str(bench.to_string()));
-        r
-    }
-
-    /// Append a top-level metadata field.
-    pub fn meta(&mut self, key: &str, value: Json) {
-        self.meta.push((key.to_string(), value));
-    }
-
-    /// Append one result row.
-    pub fn row(&mut self, fields: Vec<(&str, Json)>) {
-        self.rows.push(
-            fields
-                .into_iter()
-                .map(|(k, v)| (k.to_string(), v))
-                .collect(),
-        );
-    }
-
-    /// Render the whole report as a JSON object.
-    #[must_use]
-    pub fn render(&self) -> String {
-        let mut out = String::new();
-        out.push('{');
-        for (k, v) in &self.meta {
-            Json::Str(k.clone()).render(&mut out);
-            out.push_str(": ");
-            v.render(&mut out);
-            out.push_str(", ");
-        }
-        out.push_str("\"rows\": [");
-        for (i, row) in self.rows.iter().enumerate() {
-            if i > 0 {
-                out.push(',');
-            }
-            out.push_str("\n  {");
-            for (j, (k, v)) in row.iter().enumerate() {
-                if j > 0 {
-                    out.push_str(", ");
-                }
-                Json::Str(k.clone()).render(&mut out);
-                out.push_str(": ");
-                v.render(&mut out);
-            }
-            out.push('}');
-        }
-        out.push_str("\n]}\n");
-        out
-    }
-
-    /// Write the rendered report to `path`, creating parent directories.
-    ///
-    /// # Errors
-    ///
-    /// Propagates filesystem errors (unwritable path, full disk).
-    pub fn write(&self, path: &Path) -> io::Result<()> {
-        if let Some(dir) = path.parent() {
-            std::fs::create_dir_all(dir)?;
-        }
-        std::fs::write(path, self.render())
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -205,30 +87,5 @@ mod tests {
     #[should_panic(expected = "ragged")]
     fn ragged_rows_rejected() {
         print_table("t", &["a", "b"], &[vec!["1".to_string()]]);
-    }
-
-    #[test]
-    fn json_report_renders_escaped_and_parseable_shape() {
-        let mut r = JsonReport::new("simd");
-        r.meta("host_features", Json::Str("sse2+avx2".into()));
-        r.row(vec![
-            ("kernel", Json::Str("change\"quote\nline".into())),
-            ("ns_per_op", Json::Num(123.5)),
-            ("bad", Json::Num(f64::NAN)),
-        ]);
-        r.row(vec![("kernel", Json::Str("hist".into()))]);
-        let s = r.render();
-        assert!(
-            s.starts_with("{\"bench\": \"simd\", \"host_features\": \"sse2+avx2\", \"rows\": [")
-        );
-        assert!(s.contains("\"change\\\"quote\\nline\""));
-        assert!(s.contains("\"ns_per_op\": 123.5"));
-        assert!(s.contains("\"bad\": null"));
-        assert!(s.trim_end().ends_with("]}"));
-        // Balanced braces/brackets — the cheap structural sanity check.
-        let braces = s.matches('{').count();
-        assert_eq!(braces, s.matches('}').count());
-        assert_eq!(braces, 3);
-        assert_eq!(s.matches('[').count(), s.matches(']').count());
     }
 }

@@ -1,5 +1,6 @@
-//! Smoke tests for the `cds` command-line tool: each subcommand runs end to
-//! end, and schedule/table files roundtrip through `inspect`.
+//! Smoke tests for the `cds` command-line tool (each subcommand runs end to
+//! end, and schedule/table files roundtrip through `inspect`) and for the
+//! `paper` binary's reports.
 
 use std::process::Command;
 
@@ -102,28 +103,6 @@ fn surveillance_graph_variant_works() {
 }
 
 #[test]
-fn datapath_bin_reports_speedups() {
-    let out = Command::new(env!("CARGO_BIN_EXE_datapath"))
-        .args(["--iters", "5", "--frames", "4"])
-        .output()
-        .expect("run datapath");
-    assert!(
-        out.status.success(),
-        "{}",
-        String::from_utf8_lossy(&out.stderr)
-    );
-    let stdout = String::from_utf8_lossy(&out.stdout);
-    assert!(
-        stdout.contains("== Speedups (before / after) =="),
-        "{stdout}"
-    );
-    assert!(stdout.contains("kernel/image_histogram"), "{stdout}");
-    assert!(stdout.contains("stm/put_consume_64"), "{stdout}");
-    assert!(stdout.contains("frame buffers allocated"), "{stdout}");
-    assert!(stdout.contains("headline:"), "{stdout}");
-}
-
-#[test]
 fn bad_usage_exits_nonzero() {
     let out = cds().output().expect("run cds");
     assert!(!out.status.success());
@@ -136,34 +115,38 @@ fn bad_usage_exits_nonzero() {
     assert!(!out.status.success());
 }
 
+/// The cheap paper reports print the same bytes on every run (the sweep
+/// drivers' wall-clock lines go to stderr, every printed search is serial)
+/// and pass their own shape checks. `table1`, `multinode` and
+/// `surveillance_sweep` are left to `paper all` in CI: the first times real
+/// kernels, the other two take seconds each.
 #[test]
-fn obsreport_emits_valid_trace_and_conformance_table() {
-    let out_file = tmp("obs.txt");
-    let trace_file = tmp("obs_trace.json");
-    let out = Command::new(env!("CARGO_BIN_EXE_obsreport"))
-        .args(["--quick", "--out"])
-        .arg(&out_file)
-        .arg("--trace-out")
-        .arg(&trace_file)
+fn paper_reports_are_deterministic() {
+    for report in [
+        "fig3",
+        "fig4",
+        "fig5",
+        "regime_switch",
+        "ablation",
+        "robustness",
+    ] {
+        let run = || {
+            let out = Command::new(env!("CARGO_BIN_EXE_paper"))
+                .arg(report)
+                .output()
+                .expect("run paper");
+            assert!(
+                out.status.success(),
+                "{report}: {}",
+                String::from_utf8_lossy(&out.stdout)
+            );
+            out.stdout
+        };
+        assert_eq!(run(), run(), "{report} differs between two runs");
+    }
+    let out = Command::new(env!("CARGO_BIN_EXE_paper"))
+        .arg("fig99")
         .output()
-        .expect("run obsreport");
-    assert!(
-        out.status.success(),
-        "{}\n{}",
-        String::from_utf8_lossy(&out.stdout),
-        String::from_utf8_lossy(&out.stderr)
-    );
-    let stdout = String::from_utf8_lossy(&out.stdout);
-    assert!(stdout.contains("schedule conformance"), "{stdout}");
-    assert!(stdout.contains("JSON valid"), "{stdout}");
-    assert!(stdout.contains("obsreport: PASS"), "{stdout}");
-
-    // The report file mirrors stdout; the trace revalidates from disk.
-    let report = std::fs::read_to_string(&out_file).unwrap();
-    assert!(report.contains("overhead"), "{report}");
-    let json = std::fs::read_to_string(&trace_file).unwrap();
-    let events = obs::chrome::validate(&json).expect("trace well-formed");
-    assert!(events > 0, "trace must contain events");
-    let _ = std::fs::remove_file(&out_file);
-    let _ = std::fs::remove_file(&trace_file);
+        .expect("run paper");
+    assert!(!out.status.success(), "unknown report must be refused");
 }

@@ -46,7 +46,6 @@ pub mod multinode;
 pub mod optimal;
 pub mod persist;
 pub mod pipeline;
-pub mod pricing;
 pub mod schedule;
 pub mod sharedcache;
 pub mod switcher;
@@ -66,7 +65,6 @@ pub use persist::{
     CacheMiss, ScheduleCache,
 };
 pub use pipeline::naive_pipeline;
-pub use pricing::{optimal_schedule_priced, precompute_priced, PricedResult, PricedTable};
 pub use schedule::{IterationSchedule, PipelinedSchedule, Placement, StagePrediction};
 pub use sharedcache::{
     CollectionStrategy, GcMap, LruStrategy, SharedScheduleCache, TrackableValue,

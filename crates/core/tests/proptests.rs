@@ -500,3 +500,40 @@ fn canonical_key_permutation_invariance() {
     };
     assert_eq!(mk([0, 1]).canonical_key(), mk([1, 0]).canonical_key());
 }
+
+/// Offline table builds agree whatever the mode: a serial search, a
+/// two-thread search and a two-thread search that persists every entry
+/// give the same table, and rebuilding from the stored entries serves
+/// every state without exploring a node.
+#[test]
+fn serial_parallel_and_stored_tables_are_identical() {
+    use cds_core::persist::ScheduleCache;
+    use cds_core::table::ScheduleTable;
+
+    let same = |a: &ScheduleTable, b: &ScheduleTable| {
+        a.len() == b.len() && a.states().iter().all(|s| a.get(s) == b.get(s))
+    };
+    let g = taskgraph::builders::color_tracker();
+    let c = ClusterSpec::single_node(4);
+    let states = [1u32, 2, 4, 8].map(AppState::new);
+    let parallel = OptimalConfig {
+        threads: 2,
+        ..OptimalConfig::default()
+    };
+    let dir = std::env::temp_dir().join(format!("cds-table-modes-{}", std::process::id()));
+    let _ = std::fs::remove_dir_all(&dir);
+    let cache = ScheduleCache::open(&dir).unwrap();
+
+    let serial = ScheduleTable::precompute(&g, &c, &states, &parallel.serial());
+    let par = ScheduleTable::precompute(&g, &c, &states, &parallel);
+    let (stored, _) =
+        ScheduleTable::precompute_with_cache(&g, &c, &states, &parallel, Some(&cache));
+    let (warm, warm_stats) =
+        ScheduleTable::precompute_with_cache(&g, &c, &states, &parallel, Some(&cache));
+    assert!(same(&serial, &par), "parallel table differs");
+    assert!(same(&serial, &stored), "stored table differs");
+    assert!(same(&stored, &warm), "warm table differs");
+    assert_eq!(warm_stats.cache_hits, states.len(), "warm build searched");
+    assert_eq!(warm_stats.nodes_explored, 0, "warm build explored nodes");
+    let _ = std::fs::remove_dir_all(&dir);
+}

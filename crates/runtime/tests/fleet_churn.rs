@@ -262,3 +262,64 @@ fn rejected_stream_is_readmitted_after_departure_with_hysteresis() {
         assert_eq!(run.tenants[h.tenant].state, LifecycleState::Departed);
     }
 }
+
+#[test]
+fn guaranteed_pair_keeps_its_slo_through_a_best_effort_burst() {
+    // Two paced Guaranteed streams; a burst of free-running BestEffort
+    // hogs arrives mid-run on a deliberately narrow pool and departs once
+    // the Guaranteed pair is done. The pair's chunks overtake the hogs'
+    // backlog, so every Guaranteed frame completes inside the budget.
+    let n_frames = 60;
+    let mut cfg = FleetConfig::small(0, n_frames);
+    cfg.deadline = Duration::from_secs(1);
+    cfg.min_admitted = 6;
+    cfg.shed_utilization = 0.5;
+    cfg.shed_hysteresis = 0.15;
+    let fleet = Fleet::launch(cfg.clone());
+
+    let guaranteed: Vec<_> = (0..2)
+        .map(|_| fleet.attach(TenantSpec::with_class(PriorityClass::Guaranteed)))
+        .collect();
+    thread::sleep(Duration::from_millis(20));
+    let hog_spec = TenantSpec {
+        class: PriorityClass::BestEffort,
+        period: Some(Duration::ZERO),
+        n_frames: Some(1_000_000),
+        ..TenantSpec::default()
+    };
+    let hogs: Vec<_> = (0..4).map(|_| fleet.attach(hog_spec.clone())).collect();
+    for a in guaranteed.iter().chain(&hogs) {
+        assert!(a.admitted, "the min_admitted floor covers the burst");
+    }
+
+    assert!(
+        wait_until(Duration::from_secs(60), || guaranteed.iter().all(|g| fleet
+            .tenant_state(g.tenant)
+            == Some(LifecycleState::Completed))),
+        "Guaranteed streams never finished beside the burst"
+    );
+    for h in &hogs {
+        let rollup = fleet
+            .detach_and_wait(h.tenant, Duration::from_secs(60))
+            .expect("hog drains");
+        assert!(rollup.digitized > 0, "the hog ran beside the pair");
+    }
+    let run = fleet.finish();
+
+    for g in &guaranteed {
+        let t = &run.tenants[g.tenant];
+        let stats = t.stats.as_ref().expect("admitted tenant has stats");
+        assert_eq!(stats.frames_completed, n_frames, "tenant {}", g.tenant);
+        assert!(
+            stats.p99_latency <= cfg.deadline,
+            "tenant {} p99 {:?}",
+            g.tenant,
+            stats.p99_latency
+        );
+        assert_eq!(run.deadline_misses(g.tenant), 0, "tenant {}", g.tenant);
+        assert_eq!(t.sheds, 0, "Guaranteed frames are never shed");
+    }
+    for h in &hogs {
+        assert_eq!(run.tenants[h.tenant].state, LifecycleState::Departed);
+    }
+}

@@ -220,3 +220,114 @@ fn history_shares_payload_arcs() {
     let (_, hist) = ch.latest_at(ts(0)).expect("retained");
     assert!(Arc::ptr_eq(&live, &hist));
 }
+
+/// Frame-sized payloads streamed through a channel with columnar history.
+mod retention_memory {
+    use super::*;
+
+    /// One 64x64 grayscale frame per row.
+    const ROW: usize = 64 * 64;
+    const BUCKET_ROWS: usize = 32;
+    /// Retained-history budget: 64 rows.
+    const BUDGET: usize = 64 * ROW;
+    const CHUNK: u64 = 16;
+
+    // `build_weighed` takes a `fn(&T) -> usize` with `T = Vec<u8>`.
+    #[allow(clippy::ptr_arg)]
+    fn weigh(v: &Vec<u8>) -> usize {
+        v.len()
+    }
+
+    fn row_of(t: u64) -> Vec<u8> {
+        vec![(t & 0xff) as u8; ROW]
+    }
+
+    /// Stream `n` rows in chunks of `CHUNK`; consume each chunk unless
+    /// `hold_live` (the per-item way to keep history: never consume).
+    fn stream(builder: ChannelBuilder, hold_live: bool, n: u64) -> Channel<Vec<u8>> {
+        let ch = builder.bucket_rows(BUCKET_ROWS).build_weighed(weigh);
+        let out = ch.attach_output();
+        let inp = ch.attach_input();
+        for lo in (0..n).step_by(CHUNK as usize) {
+            let hi = (lo + CHUNK).min(n);
+            out.put_many((lo..hi).map(|t| (ts(t), row_of(t)))).unwrap();
+            if !hold_live {
+                inp.consume_range(ts(lo), ts(hi));
+            }
+        }
+        ch
+    }
+
+    fn budgeted(n: u64) -> Channel<Vec<u8>> {
+        let b = ChannelBuilder::new("hist-budget-frames")
+            .retain_buckets(usize::MAX)
+            .retain_bytes(BUDGET);
+        stream(b, false, n)
+    }
+
+    #[test]
+    fn budgeted_high_water_stays_flat_while_held_history_grows() {
+        let (short, long) = (128, 512);
+        let held = |n| {
+            stream(ChannelBuilder::new("hist-held-frames"), true, n)
+                .stats()
+                .peak_bytes
+        };
+        assert!(
+            held(long) >= 2 * held(short),
+            "holding items live grows with the stream"
+        );
+
+        let (a, b) = (budgeted(short), budgeted(long));
+        let (pa, pb) = (a.stats().peak_bytes, b.stats().peak_bytes);
+        assert!(
+            pb * 2 <= pa * 3,
+            "budgeted high-water is flat: {pa} -> {pb}"
+        );
+        // Eviction is per bucket and the live put window rides on top.
+        let slack = BUDGET + BUCKET_ROWS * ROW + CHUNK as usize * ROW;
+        assert!(pb <= slack, "high-water {pb} over budget + slack {slack}");
+
+        assert_eq!(
+            b.range(ts(long - 32), ts(long)).len(),
+            32,
+            "recent window kept"
+        );
+        let (newest, row) = b.latest_at(ts(long - 1)).expect("newest row retained");
+        assert_eq!(newest, ts(long - 1));
+        assert_eq!(row[0], ((long - 1) & 0xff) as u8);
+        assert!(
+            b.range(ts(0), ts(BUCKET_ROWS as u64)).is_empty(),
+            "oldest buckets evicted"
+        );
+        assert!(b.gc_floor().0 > 0);
+    }
+
+    #[test]
+    fn batch_apis_take_fewer_locks_than_per_item_calls() {
+        const BATCH: u64 = 64;
+        let locks = |batched: bool| {
+            let ch = ChannelBuilder::new("hist-locks")
+                .bucket_rows(BUCKET_ROWS)
+                .build_weighed(weigh);
+            let out = ch.attach_output();
+            let inp = ch.attach_input();
+            let before = ch.stats().lock_acquisitions;
+            if batched {
+                out.put_many((0..BATCH).map(|t| (ts(t), row_of(t))))
+                    .unwrap();
+                inp.consume_range(ts(0), ts(BATCH));
+            } else {
+                for t in 0..BATCH {
+                    out.put(ts(t), row_of(t)).unwrap();
+                }
+                for t in 0..BATCH {
+                    inp.consume(ts(t)).unwrap();
+                }
+            }
+            ch.stats().lock_acquisitions - before
+        };
+        let (per_item, batched) = (locks(false), locks(true));
+        assert!(batched * 8 <= per_item, "locks {per_item} -> {batched}");
+    }
+}

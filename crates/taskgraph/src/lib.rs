@@ -37,7 +37,6 @@ mod dot;
 mod graph;
 mod ids;
 mod state;
-mod tier;
 
 pub use analysis::{CriticalPath, GraphAnalysis};
 pub use comm::{CommCosts, Locality};
@@ -47,4 +46,3 @@ pub use dot::to_dot;
 pub use graph::{ChannelSpec, GraphError, Task, TaskGraph, TaskGraphBuilder};
 pub use ids::{ChanId, TaskId};
 pub use state::AppState;
-pub use tier::{permille_of, KernelTier, TierPricing};

@@ -14,9 +14,7 @@
 //!
 //! All three produce **bit-identical** output (integer histogram counts in
 //! any order, exact mask bits, an unchanged RNG draw order for the
-//! renderer), so the choice is purely a speed/cost decision — which is what
-//! lets the schedule search price tiers as alternative decompositions
-//! (`taskgraph::KernelTier`) and the runtime switch per regime.
+//! renderer), so the choice is purely a speed decision.
 //!
 //! Selection: [`BackendKind::from_env`] reads `CDS_BACKEND`
 //! (`scalar`/`word`/`simd`, default `simd`); [`active`] caches that choice
@@ -24,8 +22,6 @@
 
 use std::str::FromStr;
 use std::sync::OnceLock;
-
-use taskgraph::KernelTier;
 
 use crate::change::{change_detection_into, change_detection_scalar};
 use crate::color::ColorHist;
@@ -80,26 +76,6 @@ impl BackendKind {
             .ok()
             .and_then(|v| v.parse().ok())
             .unwrap_or(BackendKind::Simd)
-    }
-
-    /// The cost-model tier this backend is priced as.
-    #[must_use]
-    pub fn tier(self) -> KernelTier {
-        match self {
-            BackendKind::Scalar => KernelTier::Scalar,
-            BackendKind::Word => KernelTier::Word,
-            BackendKind::Simd => KernelTier::Simd,
-        }
-    }
-
-    /// The backend that realizes a cost-model tier.
-    #[must_use]
-    pub fn from_tier(tier: KernelTier) -> BackendKind {
-        match tier {
-            KernelTier::Scalar => BackendKind::Scalar,
-            KernelTier::Word => BackendKind::Word,
-            KernelTier::Simd => BackendKind::Simd,
-        }
     }
 }
 
@@ -358,10 +334,9 @@ mod tests {
     }
 
     #[test]
-    fn kinds_round_trip_names_and_tiers() {
+    fn kinds_round_trip_names() {
         for k in BackendKind::ALL {
             assert_eq!(k.name().parse::<BackendKind>().unwrap(), k);
-            assert_eq!(BackendKind::from_tier(k.tier()), k);
             assert_eq!(k.get().kind(), k);
         }
         assert!("gpu".parse::<BackendKind>().is_err());

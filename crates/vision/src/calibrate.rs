@@ -6,16 +6,11 @@
 
 use std::time::{Duration, Instant};
 
-use taskgraph::{
-    permille_of, CostModel, DataParallelSpec, KernelTier, Micros, SizeModel, TaskGraph,
-    TaskGraphBuilder, TierPricing,
-};
+use taskgraph::{CostModel, DataParallelSpec, Micros, SizeModel, TaskGraph, TaskGraphBuilder};
 
-use crate::backend::BackendKind;
 use crate::change::{change_detection, DEFAULT_THRESHOLD};
 use crate::detect::target_detection;
 use crate::detect::{detect_chunks, target_detection_chunk};
-use crate::frame::{BitMask, Frame};
 use crate::histogram::image_histogram;
 use crate::peak::peak_detection;
 use crate::synth::Scene;
@@ -171,56 +166,6 @@ pub fn calibrated_tracker(width: usize, height: usize, times: &[KernelTimes]) ->
     b.build()
 }
 
-/// Measure the tier-dispatched kernels (T1 render, T2 histogram, T3 change
-/// detection) under every compute backend and derive a [`TierPricing`] for
-/// `graph` (a tracker graph carrying the standard task names). Factors are
-/// permille of the measured **word**-tier time, because that tier is what
-/// the graph's cost rows were calibrated against; tasks T4/T5 keep their
-/// rows (their kernels are not tier-dispatched).
-#[must_use]
-pub fn measure_tier_pricing(
-    width: usize,
-    height: usize,
-    reps: u32,
-    graph: &TaskGraph,
-) -> TierPricing {
-    let scene = Scene::demo(width, height, 2, 0xCA11B);
-    let prev = scene.render(0);
-    let frame = scene.render(1);
-    let mut out_frame = Frame::new(width, height);
-    let mut mask = BitMask::new(width, height);
-    let mut measured: Vec<(KernelTier, [Micros; 3])> = Vec::new();
-    for kind in BackendKind::ALL {
-        let b = kind.get();
-        let digitize = time_it(reps, || b.render_into(&scene, 2, &mut out_frame));
-        let histogram = time_it(reps, || b.image_histogram(&frame));
-        let change = time_it(reps, || {
-            b.change_detection_into(&frame, Some(&prev), u16::from(DEFAULT_THRESHOLD), &mut mask)
-        });
-        measured.push((kind.tier(), [digitize, histogram, change]));
-    }
-    let word = measured
-        .iter()
-        .find(|(t, _)| *t == KernelTier::Word)
-        .map(|(_, times)| *times)
-        .unwrap_or([Micros(1); 3]);
-    let tasks = ["Digitizer", "Histogram", "Change Detection"];
-    let mut pricing = TierPricing::new();
-    for (tier, times) in measured {
-        let factors = tasks
-            .iter()
-            .enumerate()
-            .filter_map(|(i, name)| {
-                graph
-                    .task_by_name(name)
-                    .map(|id| (id, permille_of(times[i], word[i])))
-            })
-            .collect();
-        pricing.set_row(tier, factors);
-    }
-    pricing
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -239,26 +184,6 @@ mod tests {
         }
         // Detection cost grows with model count.
         assert!(times[1].detect >= times[0].detect);
-    }
-
-    #[test]
-    fn tier_pricing_covers_every_backend_and_prices_t1_t3() {
-        let times = measure_kernels(64, 48, &[1], 1);
-        let g = calibrated_tracker(64, 48, &times);
-        let pricing = measure_tier_pricing(64, 48, 2, &g);
-        assert_eq!(pricing.len(), 3);
-        let t2 = g.task_by_name("Histogram").unwrap();
-        for tier in KernelTier::ALL {
-            assert!(pricing.tiers().any(|t| t == tier));
-            assert!(pricing.factor(tier, t2) >= 1);
-        }
-        // The word tier is the baseline of its own measurement.
-        assert_eq!(pricing.factor(KernelTier::Word, t2), 1000);
-        // T4 is not tier-dispatched: untouched in every row.
-        let t4 = g.task_by_name("Target Detection").unwrap();
-        for tier in KernelTier::ALL {
-            assert_eq!(pricing.factor(tier, t4), 1000);
-        }
     }
 
     #[test]
