@@ -13,7 +13,7 @@
 //! Replayability rests on three properties the runtime already guarantees:
 //!
 //! * every compute stage is a pure function of its STM inputs (kernels are
-//!   bit-identical across decompositions, strip counts, and backends);
+//!   bit-identical across decompositions and backends);
 //! * all nondeterminism enters through the [`StageCtx`] funnel — input
 //!   skips and digitizer output are the only timing-dependent events;
 //! * the sink settles frames in timestamp order, so the controller's

@@ -43,7 +43,7 @@
 //! validate-on-load safety that previously forced "never persist" is now
 //! carried by the key itself.
 
-use std::sync::atomic::{AtomicU32, AtomicU64, AtomicUsize, Ordering};
+use std::sync::atomic::{AtomicU32, AtomicU64, Ordering};
 use std::sync::Arc;
 use std::time::{Duration, Instant};
 
@@ -110,8 +110,6 @@ impl Default for AdaptConfig {
 pub struct CostFeed {
     sums_ns: Vec<AtomicU64>,
     counts: Vec<AtomicU64>,
-    chunk_sums_ns: Vec<AtomicU64>,
-    chunk_counts: Vec<AtomicU64>,
 }
 
 impl CostFeed {
@@ -121,24 +119,12 @@ impl CostFeed {
         CostFeed {
             sums_ns: (0..n_stages).map(|_| AtomicU64::new(0)).collect(),
             counts: (0..n_stages).map(|_| AtomicU64::new(0)).collect(),
-            chunk_sums_ns: (0..n_stages).map(|_| AtomicU64::new(0)).collect(),
-            chunk_counts: (0..n_stages).map(|_| AtomicU64::new(0)).collect(),
         }
     }
 
     /// Report one frame's compute wall time for `stage`.
     pub fn record(&self, stage: usize, wall_ns: u64) {
         if let (Some(s), Some(c)) = (self.sums_ns.get(stage), self.counts.get(stage)) {
-            s.fetch_add(wall_ns, Ordering::Relaxed);
-            c.fetch_add(1, Ordering::Relaxed);
-        }
-    }
-
-    /// Report one pool chunk's kernel wall time for `stage` (a strip or
-    /// detection chunk — finer grain than [`record`](Self::record)'s whole
-    /// compute section, the signal chunk-width tuning derives from).
-    pub fn record_chunk(&self, stage: usize, wall_ns: u64) {
-        if let (Some(s), Some(c)) = (self.chunk_sums_ns.get(stage), self.chunk_counts.get(stage)) {
             s.fetch_add(wall_ns, Ordering::Relaxed);
             c.fetch_add(1, Ordering::Relaxed);
         }
@@ -152,82 +138,6 @@ impl CostFeed {
             .zip(&self.sums_ns)
             .map(|(c, s)| (c.swap(0, Ordering::Relaxed), s.swap(0, Ordering::Relaxed)))
             .collect()
-    }
-
-    /// Drain the per-chunk window: per-stage `(chunks, total_ns)`,
-    /// resetting both.
-    #[must_use]
-    pub fn take_chunks(&self) -> Vec<(u64, u64)> {
-        self.chunk_counts
-            .iter()
-            .zip(&self.chunk_sums_ns)
-            .map(|(c, s)| (c.swap(0, Ordering::Relaxed), s.swap(0, Ordering::Relaxed)))
-            .collect()
-    }
-}
-
-/// Mean strip cost (ns) at which the tuner stops narrowing: strips cheaper
-/// than this are dominated by submit/join overhead, so the tuner trades
-/// parallelism for granularity, exactly the paper's §3.2 chunk-size
-/// argument applied online.
-pub const TARGET_STRIP_NS: u64 = 200_000;
-
-/// How many pooled frames between strip-count re-derivations.
-pub const RETUNE_FRAMES: u64 = 8;
-
-/// Online chunk-width tuning for pooled data-parallel stages: instead of a
-/// fixed strip constant, the joiner reports each frame's total measured
-/// strip kernel time and the tuner re-derives the strip count every
-/// [`RETUNE_FRAMES`] frames as `frame_ns / TARGET_STRIP_NS`, clamped to
-/// `[1, max]`. Frames too small to amortize pool dispatch collapse toward
-/// serial execution; large frames widen until each strip still carries
-/// [`TARGET_STRIP_NS`] of work.
-pub struct StripTuner {
-    strips: AtomicUsize,
-    max: usize,
-    frame_ns: AtomicU64,
-    frames: AtomicU64,
-}
-
-impl StripTuner {
-    /// A tuner starting at `initial` strips, never prescribing more than
-    /// `max` (both clamped to at least 1).
-    #[must_use]
-    pub fn new(initial: usize, max: usize) -> Self {
-        let max = max.max(1);
-        StripTuner {
-            strips: AtomicUsize::new(initial.clamp(1, max)),
-            max,
-            frame_ns: AtomicU64::new(0),
-            frames: AtomicU64::new(0),
-        }
-    }
-
-    /// The strip count currently prescribed.
-    #[must_use]
-    pub fn strips(&self) -> usize {
-        self.strips.load(Ordering::Relaxed)
-    }
-
-    /// Report one frame's total measured strip kernel time; every
-    /// [`RETUNE_FRAMES`] reports the prescription is re-derived from the
-    /// window mean.
-    pub fn observe_frame(&self, total_strip_ns: u64) {
-        self.frame_ns.fetch_add(total_strip_ns, Ordering::Relaxed);
-        let n = self.frames.fetch_add(1, Ordering::Relaxed) + 1;
-        if n < RETUNE_FRAMES {
-            return;
-        }
-        let frames = self.frames.swap(0, Ordering::Relaxed);
-        let total = self.frame_ns.swap(0, Ordering::Relaxed);
-        if frames == 0 {
-            return; // another thread raced the drain; its window decides
-        }
-        let mean = total / frames;
-        #[allow(clippy::cast_possible_truncation)]
-        let want = (mean / TARGET_STRIP_NS.max(1)) as usize;
-        self.strips
-            .store(want.clamp(1, self.max), Ordering::Relaxed);
     }
 }
 
@@ -725,92 +635,6 @@ mod tests {
         f.record(9, 1); // out of range: ignored
         assert_eq!(f.take(), vec![(2, 400), (0, 0), (1, 50)]);
         assert_eq!(f.take(), vec![(0, 0), (0, 0), (0, 0)], "drained");
-    }
-
-    #[test]
-    fn cost_feed_keeps_chunk_samples_separate_from_frame_samples() {
-        let f = CostFeed::new(2);
-        f.record(1, 1000);
-        f.record_chunk(1, 200);
-        f.record_chunk(1, 400);
-        f.record_chunk(7, 1); // out of range: ignored
-        assert_eq!(f.take_chunks(), vec![(0, 0), (2, 600)]);
-        assert_eq!(f.take(), vec![(0, 0), (1, 1000)], "frame window untouched");
-        assert_eq!(f.take_chunks(), vec![(0, 0), (0, 0)], "drained");
-    }
-
-    #[test]
-    fn strip_tuner_rederives_width_from_measured_cost() {
-        // Cheap frames (well under one TARGET_STRIP_NS of work) collapse to
-        // a single serial strip once the retune window fills.
-        let t = StripTuner::new(4, 8);
-        assert_eq!(t.strips(), 4, "seeded width until evidence arrives");
-        for _ in 0..7 {
-            t.observe_frame(50_000);
-            assert_eq!(t.strips(), 4, "no retune mid-window");
-        }
-        t.observe_frame(50_000);
-        assert_eq!(t.strips(), 1, "tiny frames go serial");
-
-        // Expensive frames widen, but never past the configured max.
-        for _ in 0..8 {
-            t.observe_frame(TARGET_STRIP_NS * 100);
-        }
-        assert_eq!(t.strips(), 8, "clamped to max");
-
-        // A mid-cost window lands on cost / target.
-        for _ in 0..8 {
-            t.observe_frame(TARGET_STRIP_NS * 3);
-        }
-        assert_eq!(t.strips(), 3);
-
-        // Degenerate construction still prescribes at least one strip.
-        let t = StripTuner::new(0, 0);
-        assert_eq!(t.strips(), 1);
-    }
-
-    /// Synthetic per-strip feedback loop: each frame carries `work` ns of
-    /// strip kernel time plus a 1 µs dispatch overhead per strip at the
-    /// currently prescribed width.
-    fn feed_frames(t: &StripTuner, work: u64, frames: u64) {
-        for _ in 0..frames {
-            let strips = t.strips() as u64;
-            t.observe_frame(work + strips * 1_000);
-        }
-    }
-
-    #[test]
-    fn strip_tuner_converges_to_target_granularity() {
-        let t = StripTuner::new(8, 64);
-        // 6 targets' worth of work: the loop settles at 6 strips, and each
-        // strip carries the 200 µs target within the truncation band
-        // [TARGET, TARGET·(1 + 1/strips)).
-        feed_frames(&t, 6 * TARGET_STRIP_NS, 8 * RETUNE_FRAMES);
-        assert_eq!(t.strips(), 6);
-        let per_strip = (6 * TARGET_STRIP_NS + 6_000) / t.strips() as u64;
-        assert!((TARGET_STRIP_NS..2 * TARGET_STRIP_NS).contains(&per_strip));
-        // Stability: more evidence at the same cost never moves it.
-        feed_frames(&t, 6 * TARGET_STRIP_NS, 8 * RETUNE_FRAMES);
-        assert_eq!(t.strips(), 6, "converged prescription is stable");
-    }
-
-    #[test]
-    fn strip_tuner_tracks_cost_step_mid_run() {
-        let t = StripTuner::new(4, 64);
-        feed_frames(&t, 10 * TARGET_STRIP_NS, 8 * RETUNE_FRAMES);
-        assert_eq!(t.strips(), 10);
-
-        // Cost step down mid-run: frames shrink to 1.5 targets of work —
-        // too small to amortize dispatch, the tuner collapses to serial.
-        feed_frames(&t, 3 * TARGET_STRIP_NS / 2, 8 * RETUNE_FRAMES);
-        assert_eq!(t.strips(), 1, "cheap frames collapse toward serial");
-
-        // Cost step up: 40 targets of work re-widens to 40 strips, each
-        // still carrying ~one target of kernel time.
-        feed_frames(&t, 40 * TARGET_STRIP_NS, 8 * RETUNE_FRAMES);
-        assert_eq!(t.strips(), 40);
-        let per_strip = (40 * TARGET_STRIP_NS + 40_000) / t.strips() as u64;
-        assert!((TARGET_STRIP_NS..2 * TARGET_STRIP_NS).contains(&per_strip));
     }
 
     #[test]

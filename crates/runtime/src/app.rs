@@ -91,7 +91,8 @@ pub struct TrackerConfig {
     /// Fixed (FP, MP) decomposition for T4.
     pub decomposition: (u32, u32),
     /// Worker-pool size for online-mode data parallelism (0 = none). The
-    /// pool is shared by T4 detection chunks and T2 histogram strips.
+    /// pool runs T4's detection chunks, the graph's only data-parallel
+    /// task, and an attached adaptation loop's background re-searches.
     pub pool_workers: usize,
     /// Recycle frame and mask buffers through freelists so steady-state
     /// execution allocates nothing per frame. Output is bit-identical
@@ -120,8 +121,7 @@ pub struct TrackerConfig {
     pub trace: Option<TraceMode>,
     /// Which compute-kernel tier the stage bodies dispatch through
     /// (scalar oracles, portable word kernels, or runtime-detected SIMD).
-    /// Every tier is bit-identical; they differ only in speed, which is
-    /// what the priced schedule search weighs.
+    /// Every tier is bit-identical; they differ only in speed.
     pub backend: BackendKind,
     /// Record this run's nondeterminism (digitized frames, skips, commits)
     /// into the tap — the live side of `crates/replay`. `None` records
@@ -164,15 +164,14 @@ impl TrackerConfig {
 /// One tenant's view of fleet-shared runtime resources: the fleet-wide
 /// worker pool and buffer freelists (shared by every tenant), plus this
 /// tenant's private weighted-fairness boost flag. Passing one of these to
-/// [`TrackerApp::build_shared`] suppresses the app's internal pool/freelist
+/// [`TrackerApp::assemble`] suppresses the app's internal pool/freelist
 /// construction — a thousand tenants then multiplex one pool instead of
 /// spawning a thousand.
 #[derive(Clone)]
 pub struct SharedResources {
-    /// The fleet-wide worker pool all tenants' data-parallel stages submit to.
+    /// The fleet-wide worker pool every tenant's T4 detection chunks are
+    /// submitted to.
     pub pool: Arc<WorkerPool<PoolJob>>,
-    /// Pool width; seeds each tenant's histogram strip tuner.
-    pub pool_workers: usize,
     /// Shared frame-buffer freelist (`None` disables recycling).
     pub frame_pool: Option<BufPool<Frame>>,
     /// Shared mask-buffer freelist (`None` disables recycling).
@@ -280,43 +279,26 @@ impl TrackerApp {
         scene: Scene,
         controller: Option<Arc<RegimeController>>,
     ) -> TrackerApp {
-        Self::build_adaptive(cfg, scene, controller, None)
+        Self::assemble(cfg, scene, controller, None, None)
     }
 
-    /// [`build_with_scene`](Self::build_with_scene) plus an adaptation loop:
-    /// every stage reports compute costs into the loop's feed, the sink
-    /// drives its frame-boundary hook, background re-searches ride the
-    /// shared worker pool, and swap/launch instants land on the trace. The
-    /// loop should share `controller` — that is where its swaps are
-    /// installed.
+    /// Wire the tracker; every other constructor builds through this one.
+    ///
+    /// * `controller`, if given, drives T4's decomposition dynamically;
+    ///   otherwise `cfg.decomposition` is fixed.
+    /// * `adapt` attaches an adaptation loop: every stage reports compute
+    ///   costs into the loop's feed, the sink drives its frame-boundary
+    ///   hook, background re-searches ride the worker pool, and swap/launch
+    ///   instants land on the trace. The loop should share `controller` —
+    ///   that is where its swaps are installed.
+    /// * `shared` makes the app a fleet tenant: the worker pool and buffer
+    ///   freelists come from it instead of being built per app
+    ///   (`cfg.pool_workers` and `cfg.recycle_buffers` are then ignored),
+    ///   every stage carries the tenant's boost flag and class so the fleet
+    ///   monitor can route its pool jobs, and the digitizer its halt and
+    ///   shed flags.
     #[must_use]
-    pub fn build_adaptive(
-        cfg: &TrackerConfig,
-        scene: Scene,
-        controller: Option<Arc<RegimeController>>,
-        adapt: Option<Arc<AdaptLoop>>,
-    ) -> TrackerApp {
-        Self::build_inner(cfg, scene, controller, adapt, None)
-    }
-
-    /// [`build_adaptive`](Self::build_adaptive) for a fleet tenant: the
-    /// worker pool and buffer freelists come from `shared` instead of being
-    /// constructed per app, and every stage carries the tenant's boost flag
-    /// so the fleet monitor can route its pool jobs to the urgent lane.
-    /// `cfg.pool_workers` and `cfg.recycle_buffers` are ignored — `shared`
-    /// decides both.
-    #[must_use]
-    pub fn build_shared(
-        cfg: &TrackerConfig,
-        scene: Scene,
-        controller: Option<Arc<RegimeController>>,
-        adapt: Option<Arc<AdaptLoop>>,
-        shared: &SharedResources,
-    ) -> TrackerApp {
-        Self::build_inner(cfg, scene, controller, adapt, Some(shared))
-    }
-
-    fn build_inner(
+    pub fn assemble(
         cfg: &TrackerConfig,
         scene: Scene,
         controller: Option<Arc<RegimeController>>,
@@ -411,8 +393,8 @@ impl TrackerApp {
             cfg.period,
             digitizer_frames,
             Arc::clone(&measure),
-        )
-        .with_ctx(stage_ctx(Stage::Digitizer));
+            stage_ctx(Stage::Digitizer),
+        );
         if let Some(p) = &frame_pool {
             digitizer = digitizer.with_frame_pool(p.clone());
         }
@@ -424,14 +406,17 @@ impl TrackerApp {
         if let Some(src) = &cfg.source {
             digitizer = digitizer.with_source(Arc::clone(src));
         }
-        let mut histogram = HistogramTask::new(frames.attach_input(), hist.clone())
-            .with_ctx(stage_ctx(Stage::Histogram));
+        let histogram = HistogramTask::new(
+            frames.attach_input(),
+            hist.clone(),
+            stage_ctx(Stage::Histogram),
+        );
         let mut change = ChangeTask::new(
             frames.attach_input(),
             mask.clone(),
             u16::from(vision::change::DEFAULT_THRESHOLD),
-        )
-        .with_ctx(stage_ctx(Stage::Change));
+            stage_ctx(Stage::Change),
+        );
         if let Some(p) = &mask_pool {
             change = change.with_mask_pool(p.clone());
         }
@@ -444,8 +429,8 @@ impl TrackerApp {
             cfg.width,
             cfg.height,
             cfg.decomposition,
-        )
-        .with_ctx(stage_ctx(Stage::Detect));
+            stage_ctx(Stage::Detect),
+        );
         if let Some(c) = &controller {
             detect = detect.with_controller(Arc::clone(c));
             c.attach_health(Arc::clone(&health));
@@ -453,20 +438,12 @@ impl TrackerApp {
                 c.attach_recorder(r.clone());
             }
         }
-        let mut shared_pool = None;
-        if let Some(s) = shared {
-            detect = detect.with_pool(Arc::clone(&s.pool));
-            histogram = histogram.with_pool(Arc::clone(&s.pool), s.pool_workers.max(1));
-            if let Some(a) = &adapt {
-                a.attach_pool(Arc::clone(&s.pool));
-            }
-            shared_pool = Some(Arc::clone(&s.pool));
-        } else if cfg.pool_workers > 0 {
-            // One pool serves both data-parallel stages (T4 chunks and T2
-            // histogram strips). With fault injection attached, the handler
-            // probes the injector first — the injected panic lands inside
-            // the pool's catch_unwind, exactly where a real one would.
-            let pool: Arc<WorkerPool<PoolJob>> = match &cfg.faults {
+        let pool = match shared {
+            Some(s) => Some(Arc::clone(&s.pool)),
+            None if cfg.pool_workers > 0 => Some(match &cfg.faults {
+                // With fault injection attached, the handler probes the
+                // injector first — the injected panic lands inside the
+                // pool's catch_unwind, exactly where a real one would.
                 Some(f) => {
                     let f = Arc::clone(f);
                     Arc::new(WorkerPool::new(cfg.pool_workers, move |job: PoolJob| {
@@ -475,22 +452,27 @@ impl TrackerApp {
                     }))
                 }
                 None => Arc::new(WorkerPool::new(cfg.pool_workers, PoolJob::run)),
-            };
-            detect = detect.with_pool(Arc::clone(&pool));
-            histogram = histogram.with_pool(Arc::clone(&pool), cfg.pool_workers);
+            }),
+            None => None,
+        };
+        if let Some(p) = &pool {
+            detect = detect.with_pool(Arc::clone(p));
             if let Some(a) = &adapt {
-                a.attach_pool(Arc::clone(&pool));
+                a.attach_pool(Arc::clone(p));
             }
-            shared_pool = Some(pool);
         }
-        let peak = PeakTask::new(scores.attach_input(), locations.clone(), cfg.min_score)
-            .with_ctx(stage_ctx(Stage::Peak));
+        let peak = PeakTask::new(
+            scores.attach_input(),
+            locations.clone(),
+            cfg.min_score,
+            stage_ctx(Stage::Peak),
+        );
         let mut face = FaceTask::new(
             locations.attach_input(),
             Arc::clone(&measure),
             controller.clone(),
-        )
-        .with_ctx(stage_ctx(Stage::Face));
+            stage_ctx(Stage::Face),
+        );
         if let Some(a) = &adapt {
             face = face.with_adapt(Arc::clone(a));
         }
@@ -522,7 +504,7 @@ impl TrackerApp {
                 scores,
                 locations,
             },
-            pool: shared_pool,
+            pool,
             frame_pool,
             mask_pool,
             channel_capacity: cap,

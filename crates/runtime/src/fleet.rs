@@ -395,7 +395,6 @@ impl FleetInner {
         };
         let shared = SharedResources {
             pool: Arc::clone(&self.pool),
-            pool_workers: self.workers,
             frame_pool: self.frame_pool.clone(),
             mask_pool: self.mask_pool.clone(),
             boost: Arc::clone(&boost),
@@ -403,7 +402,7 @@ impl FleetInner {
             halt: Arc::clone(&halt),
             shed: Arc::clone(&shed),
         };
-        let app = TrackerApp::build_shared(&tcfg, scene, controller, None, &shared);
+        let app = TrackerApp::assemble(&tcfg, scene, controller, None, Some(&shared));
         self.slots.lock()[idx].table = Some(tenant_table);
         self.live.lock().push(TenantLive {
             tenant: idx,

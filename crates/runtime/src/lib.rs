@@ -9,9 +9,10 @@
 //!
 //! * [`exec_online::OnlineExecutor`] — one free-running thread per task,
 //!   synchronized only by blocking STM gets and channel flow control: the
-//!   real-threads analogue of the paper's pthread baseline. Data-parallel
-//!   tasks farm chunks to a [`pool::WorkerPool`] through the
-//!   splitter/worker/joiner structure of Fig. 9.
+//!   real-threads analogue of the paper's pthread baseline. The one
+//!   data-parallel task, target detection, farms chunks to a
+//!   [`pool::WorkerPool`] through the splitter/worker/joiner structure of
+//!   Fig. 9.
 //! * [`exec_scheduled::ScheduledExecutor`] — one *master thread per modeled
 //!   processor*, each interpreting its precomputed placement sequence from a
 //!   [`cds_core::PipelinedSchedule`] (the paper's §3.3 lists exactly this
@@ -48,9 +49,7 @@ pub mod record;
 pub mod regime_rt;
 pub mod tasks;
 
-pub use adapt::{
-    AdaptConfig, AdaptLoop, AdaptStats, CostFeed, ReschedJob, ReschedReason, StripTuner,
-};
+pub use adapt::{AdaptConfig, AdaptLoop, AdaptStats, CostFeed, ReschedJob, ReschedReason};
 pub use app::{SharedResources, TrackerApp, TrackerConfig};
 pub use error::{HealthReport, RuntimeError, RuntimeHealth, Stage};
 pub use exec_online::OnlineExecutor;

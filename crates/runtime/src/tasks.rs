@@ -31,10 +31,10 @@ use vision::detect::{merge_partials, PartialScores};
 use vision::peak::detected_count;
 use vision::{
     detect_chunks, peak_detection, target_detection_chunk, BitMask, ColorHist, ComputeBackend,
-    DetectChunk, Frame, ModelLocation, Region, ScoreMap,
+    DetectChunk, Frame, ModelLocation, ScoreMap,
 };
 
-use crate::adapt::{AdaptLoop, CostFeed, ReschedJob, StripTuner};
+use crate::adapt::{AdaptLoop, CostFeed, ReschedJob};
 use crate::error::{RuntimeError, RuntimeHealth, Stage};
 use crate::faults::FaultInjector;
 use crate::frame_pool::{BufPool, Pooled, PooledFrame, PooledMask};
@@ -215,14 +215,6 @@ impl StageCtx {
         }
     }
 
-    /// Report one pool chunk's kernel wall time into the cost feed (no-op
-    /// without an attached feed).
-    pub fn record_chunk_cost(&self, wall_ns: u64) {
-        if let Some(f) = &self.feed {
-            f.record_chunk(usize::from(self.stage.index()), wall_ns);
-        }
-    }
-
     /// The shared health ledger.
     #[must_use]
     pub fn health(&self) -> &Arc<RuntimeHealth> {
@@ -303,27 +295,25 @@ impl StageCtx {
         }
     }
 
-    /// Compute-section entry: applies any injected compute slowdown (the
-    /// cost-drift fault, which must land *inside* the measured window) and
-    /// starts the cost-feed clock. `None` when no feed is attached, so the
-    /// paired [`work_end`](Self::work_end) is free.
-    fn work_begin(&self, ts: Timestamp) -> Option<Instant> {
+    /// Run `work` as frame `ts`'s compute section: any injected compute
+    /// slowdown (the cost-drift fault) lands inside it, its wall time goes
+    /// into the adaptation loop's cost feed, and it is recorded as the
+    /// stage's `Compute` span.
+    fn compute<R>(&self, ts: Timestamp, work: impl FnOnce() -> R) -> R {
+        let t0 = self.rec_now();
         // Clock first, sleep second: the injected slowdown models the stage
         // genuinely getting slower, so the feed must measure it.
         let c0 = self.feed.as_ref().map(|_| Instant::now());
         if let Some(f) = &self.faults {
             f.compute_slow(self.stage, ts.0);
         }
-        c0
-    }
-
-    /// Compute-section exit: report the measured wall time into the
-    /// adaptation loop's cost feed.
-    fn work_end(&self, c0: Option<Instant>) {
+        let out = work();
         if let (Some(feed), Some(c0)) = (&self.feed, c0) {
             let ns = u64::try_from(c0.elapsed().as_nanos()).unwrap_or(u64::MAX);
             feed.record(self.stage.index() as usize, ns);
         }
+        self.rec_span(SpanKind::Compute, ts.0, None, t0);
+        out
     }
 
     /// The falsified regime observation for `ts`, if one is injected.
@@ -503,6 +493,67 @@ impl CloseGate {
     }
 }
 
+/// The output side of a transform stage (T2–T5): the connection it puts
+/// into, the channel it closes at end of stream, and the commit
+/// bookkeeping its concurrent instances share.
+struct StageOut<T> {
+    conn: OutputConn<T>,
+    chan: Channel<T>,
+    cursor: SharedCursor,
+    gate: CloseGate,
+}
+
+impl<T> StageOut<T> {
+    fn new(chan: Channel<T>) -> Self {
+        StageOut {
+            conn: chan.attach_output(),
+            chan,
+            cursor: SharedCursor::default(),
+            gate: CloseGate::default(),
+        }
+    }
+
+    /// Conclude instance `ts`, however its frame went: a computed value is
+    /// put; a fault met on the way, or a refused put, lands on the
+    /// degradation ladder. End of stream stops the instance, and the output
+    /// closes once every instance below it has settled. Any other fault
+    /// skip-marks the frame, so consumers learn now that it is not coming.
+    /// Unless it stops, the instance commits and `advance` moves the
+    /// stage's input frontiers to the contiguous prefix. `held` (what the
+    /// instance fetched) is dropped only after `advance` returns: dropped
+    /// earlier, it would leave the GC that `advance` runs as the last owner
+    /// of ~1 MiB frames, freeing them under the channel lock.
+    fn settle<H>(
+        &self,
+        ctx: &StageCtx,
+        ts: Timestamp,
+        result: Result<T, FrameFault>,
+        held: H,
+        advance: impl FnOnce(Timestamp),
+    ) -> Result<(), Stop> {
+        let settled = result.and_then(|value| ctx.put(&self.conn, ts, value));
+        match settled {
+            Ok(()) => ctx.mark_stage(ts.0),
+            Err(FrameFault::Skip) => self.conn.mark_skipped(ts),
+            Err(FrameFault::Stop) => self.gate.mark_closed(ts.0),
+        }
+        let stop = settled == Err(FrameFault::Stop);
+        let prefix = self.cursor.commit(ts.0);
+        if !stop {
+            advance(Timestamp(prefix));
+        }
+        if self.gate.should_close(prefix) {
+            self.chan.close();
+        }
+        drop(held);
+        if stop {
+            Err(Stop)
+        } else {
+            Ok(())
+        }
+    }
+}
+
 // ---------------------------------------------------------------------
 // T1 — Digitizer
 // ---------------------------------------------------------------------
@@ -545,7 +596,7 @@ pub struct DigitizerTask {
 }
 
 impl DigitizerTask {
-    /// Create the digitizer, producing into `out_chan`.
+    /// Create the digitizer, producing into `out_chan` under `ctx`.
     #[must_use]
     pub fn new(
         scene: vision::Scene,
@@ -553,6 +604,7 @@ impl DigitizerTask {
         period: Duration,
         n_frames: u64,
         measure: Arc<Measurements>,
+        ctx: StageCtx,
     ) -> Self {
         DigitizerTask {
             scene,
@@ -562,7 +614,7 @@ impl DigitizerTask {
             n_frames,
             epoch: Mutex::new(None),
             measure,
-            ctx: StageCtx::new(Stage::Digitizer),
+            ctx,
             frame_pool: None,
             cursor: SharedCursor::default(),
             halt: None,
@@ -585,13 +637,6 @@ impl DigitizerTask {
     #[must_use]
     pub fn with_frame_pool(mut self, pool: BufPool<Frame>) -> Self {
         self.frame_pool = Some(pool);
-        self
-    }
-
-    /// Attach a runtime context (shared health, deadline, fault injection).
-    #[must_use]
-    pub fn with_ctx(mut self, ctx: StageCtx) -> Self {
-        self.ctx = ctx;
         self
     }
 
@@ -689,30 +734,30 @@ impl TaskBody for DigitizerTask {
             self.commit_and_maybe_close(ts.0);
             return Ok(());
         }
-        let t0 = self.ctx.rec_now();
-        let c0 = self.ctx.work_begin(ts);
-        let mut buf = match &self.frame_pool {
-            Some(pool) => pool.take_or(|| Frame::new(self.scene.width, self.scene.height)),
-            None => Pooled::unpooled(Frame::new(self.scene.width, self.scene.height)),
-        };
-        match &self.source {
+        let rendered = self.ctx.compute(ts, || {
+            let mut buf = match &self.frame_pool {
+                Some(pool) => pool.take_or(|| Frame::new(self.scene.width, self.scene.height)),
+                None => Pooled::unpooled(Frame::new(self.scene.width, self.scene.height)),
+            };
+            match &self.source {
+                Some(src) if src.is_skipped(ts.0) || !src.play_into(ts.0, &mut buf) => None,
+                Some(_) => Some(buf),
+                None => {
+                    self.ctx.backend().render_into(&self.scene, ts.0, &mut buf);
+                    Some(buf)
+                }
+            }
+        });
+        let Some(frame) = rendered else {
             // Replay: a frame the recorded digitizer skipped — or never
             // produced — is re-marked as a skip, pinning the replayed
             // stream to the recorded one.
-            Some(src) if src.is_skipped(ts.0) || !src.play_into(ts.0, &mut buf) => {
-                self.ctx.work_end(c0);
-                self.ctx.rec_instant(SpanKind::Skip, ts.0, None);
-                self.ctx.tap_skip(ts.0);
-                self.out.mark_skipped(ts);
-                self.commit_and_maybe_close(ts.0);
-                return Ok(());
-            }
-            Some(_) => {}
-            None => self.ctx.backend().render_into(&self.scene, ts.0, &mut buf),
-        }
-        let frame = buf;
-        self.ctx.work_end(c0);
-        self.ctx.rec_span(SpanKind::Compute, ts.0, None, t0);
+            self.ctx.rec_instant(SpanKind::Skip, ts.0, None);
+            self.ctx.tap_skip(ts.0);
+            self.out.mark_skipped(ts);
+            self.commit_and_maybe_close(ts.0);
+            return Ok(());
+        };
         // Tap before the put hands the buffer over; a put that is then
         // refused also taps a digitizer skip, which replay lets outrank
         // the frame.
@@ -742,142 +787,23 @@ impl TaskBody for DigitizerTask {
 // T2 — Histogram
 // ---------------------------------------------------------------------
 
-/// T2: whole-image color histogram → "Color Model" channel. With a worker
-/// pool attached, the frame is split into row strips farmed as the paper's
-/// Fig. 9 splitter/worker/joiner; partial histograms merge exactly in any
-/// order (integer counts in `f32` bins), so the output is bit-identical to
-/// the serial path. A strip whose reply never arrives (worker panic) is
-/// recomputed inline by the joiner — still bit-identical.
+/// T2: whole-image color histogram → "Color Model" channel. Always serial:
+/// T4 is the graph's only data-parallel task, and a whole-frame histogram
+/// costs less than one worker-pool round trip.
 pub struct HistogramTask {
     input: InputConn<PooledFrame>,
-    out: OutputConn<ColorHist>,
-    out_chan: Channel<ColorHist>,
-    /// `(pool, tuner)`: farm row strips to the shared worker pool, the
-    /// strip count re-derived online from measured per-strip kernel costs.
-    pool: Option<(Arc<WorkerPool<PoolJob>>, Arc<StripTuner>)>,
+    out: StageOut<ColorHist>,
     ctx: StageCtx,
-    cursor: SharedCursor,
-    gate: CloseGate,
 }
 
 impl HistogramTask {
-    /// Create the histogram task, producing into `out_chan`.
+    /// Create the histogram task, producing into `out_chan` under `ctx`.
     #[must_use]
-    pub fn new(input: InputConn<PooledFrame>, out_chan: Channel<ColorHist>) -> Self {
+    pub fn new(input: InputConn<PooledFrame>, out_chan: Channel<ColorHist>, ctx: StageCtx) -> Self {
         HistogramTask {
             input,
-            out: out_chan.attach_output(),
-            out_chan,
-            pool: None,
-            ctx: StageCtx::new(Stage::Histogram),
-            cursor: SharedCursor::default(),
-            gate: CloseGate::default(),
-        }
-    }
-
-    /// Farm row strips of each frame to `pool` (Fig. 9 data parallelism for
-    /// T2). `strips` seeds a [`StripTuner`] that then re-derives the strip
-    /// count from measured per-strip kernel costs: small frames collapse to
-    /// fewer (down to a serial 1), big frames widen up to `2 × strips`.
-    #[must_use]
-    pub fn with_pool(mut self, pool: Arc<WorkerPool<PoolJob>>, strips: usize) -> Self {
-        self.pool = Some((pool, Arc::new(StripTuner::new(strips, strips * 2))));
-        self
-    }
-
-    /// The live strip count the tuner currently prescribes, when pooled.
-    #[must_use]
-    pub fn strips(&self) -> Option<usize> {
-        self.pool.as_ref().map(|(_, t)| t.strips())
-    }
-
-    /// Attach a runtime context (shared health, deadline, fault injection).
-    #[must_use]
-    pub fn with_ctx(mut self, ctx: StageCtx) -> Self {
-        self.ctx = ctx;
-        self
-    }
-
-    fn compute(&self, ts: Timestamp, frame: &Arc<PooledFrame>) -> ColorHist {
-        let backend = self.ctx.backend();
-        let region = frame.region();
-        // The tuner's prescription, clamped to what the frame can yield
-        // (split_rows rejects more strips than rows).
-        let strips = match &self.pool {
-            Some((_, tuner)) => tuner.strips().min(region.height().max(1)),
-            None => 1,
-        };
-        match &self.pool {
-            Some((pool, tuner)) if strips > 1 => {
-                let regions = region.split_rows(strips);
-                let n = regions.len();
-                let (tx, rx) = bounded(n);
-                let rec = self.ctx.recorder();
-                for (idx, &region) in regions.iter().enumerate() {
-                    let job = PoolJob::Hist(HistJob {
-                        frame: Arc::clone(frame),
-                        region,
-                        idx,
-                        ts: ts.0,
-                        total: n as u16,
-                        backend,
-                        rec: rec.clone(),
-                        reply: tx.clone(),
-                    });
-                    self.ctx.submit_or_run(pool, job);
-                }
-                drop(tx);
-                // Indexed replies: a missing slot means the strip's worker
-                // panicked before sending — recompute it inline so the
-                // merged histogram stays bit-identical to the serial path.
-                let join_t0 = self.ctx.rec_now();
-                let mut parts: Vec<Option<ColorHist>> = (0..n).map(|_| None).collect();
-                let mut frame_ns = 0u64;
-                for (idx, strip_ns, partial) in rx.iter() {
-                    parts[idx] = Some(partial);
-                    frame_ns = frame_ns.saturating_add(strip_ns);
-                    self.ctx.record_chunk_cost(strip_ns);
-                }
-                self.ctx.rec_span(SpanKind::Join, ts.0, None, join_t0);
-                let mut merged = ColorHist::empty();
-                for (idx, part) in parts.into_iter().enumerate() {
-                    match part {
-                        Some(p) => merged.merge(&p),
-                        None => {
-                            self.ctx.health().record_chunk_recompute();
-                            merged.merge(&backend.region_histogram(frame, regions[idx]));
-                        }
-                    }
-                }
-                tuner.observe_frame(frame_ns);
-                merged
-            }
-            _ => backend.image_histogram(frame),
-        }
-    }
-
-    /// Conclude a faulted frame: stop at end-of-stream, or skip-commit the
-    /// frame (frontier advances exactly as a publish would).
-    fn conclude(&self, ts: Timestamp, fault: FrameFault) -> Result<(), Stop> {
-        match fault {
-            FrameFault::Stop => {
-                self.gate.mark_closed(ts.0);
-                if self.gate.should_close(self.cursor.commit(ts.0)) {
-                    self.out_chan.close();
-                }
-                Err(Stop)
-            }
-            FrameFault::Skip => {
-                // Tell blocked consumers immediately: this frame's output is
-                // never coming (the load-independent skip cascade).
-                self.out.mark_skipped(ts);
-                let prefix = self.cursor.commit(ts.0);
-                self.input.advance_frontier(Timestamp(prefix));
-                if self.gate.should_close(prefix) {
-                    self.out_chan.close();
-                }
-                Ok(())
-            }
+            out: StageOut::new(out_chan),
+            ctx,
         }
     }
 }
@@ -889,25 +815,15 @@ impl TaskBody for HistogramTask {
 
     fn process(&self, ts: Timestamp, _chunk: Option<(u32, u32)>) -> Result<(), Stop> {
         self.ctx.begin(ts);
+        let advance = |prefix| self.input.advance_frontier(prefix);
         let frame = match self.ctx.get(&self.input, ts) {
             Ok(f) => f,
-            Err(fault) => return self.conclude(ts, fault),
+            Err(fault) => return self.out.settle(&self.ctx, ts, Err(fault), (), advance),
         };
-        let t0 = self.ctx.rec_now();
-        let c0 = self.ctx.work_begin(ts);
-        let hist = self.compute(ts, &frame.value);
-        self.ctx.work_end(c0);
-        self.ctx.rec_span(SpanKind::Compute, ts.0, None, t0);
-        if let Err(fault) = self.ctx.put(&self.out, ts, hist) {
-            return self.conclude(ts, fault);
-        }
-        self.ctx.mark_stage(ts.0);
-        let prefix = self.cursor.commit(ts.0);
-        self.input.advance_frontier(Timestamp(prefix));
-        if self.gate.should_close(prefix) {
-            self.out_chan.close();
-        }
-        Ok(())
+        let hist = self
+            .ctx
+            .compute(ts, || self.ctx.backend().image_histogram(&frame.value));
+        self.out.settle(&self.ctx, ts, Ok(hist), frame, advance)
     }
 }
 
@@ -921,34 +837,30 @@ impl TaskBody for HistogramTask {
 /// prefix, since instance `ts` reads frame `ts − 1`.
 pub struct ChangeTask {
     input: InputConn<PooledFrame>,
-    out: OutputConn<PooledMask>,
-    out_chan: Channel<PooledMask>,
+    out: StageOut<PooledMask>,
     threshold: u16,
     /// Recycled mask buffers; `change_detection_into` writes every word, so
     /// a dirty buffer produces bit-identical masks.
     mask_pool: Option<BufPool<BitMask>>,
     ctx: StageCtx,
-    cursor: SharedCursor,
-    gate: CloseGate,
 }
 
 impl ChangeTask {
-    /// Create the change-detection task, producing into `out_chan`.
+    /// Create the change-detection task, producing into `out_chan` under
+    /// `ctx`.
     #[must_use]
     pub fn new(
         input: InputConn<PooledFrame>,
         out_chan: Channel<PooledMask>,
         threshold: u16,
+        ctx: StageCtx,
     ) -> Self {
         ChangeTask {
             input,
-            out: out_chan.attach_output(),
-            out_chan,
+            out: StageOut::new(out_chan),
             threshold,
             mask_pool: None,
-            ctx: StageCtx::new(Stage::Change),
-            cursor: SharedCursor::default(),
-            gate: CloseGate::default(),
+            ctx,
         }
     }
 
@@ -959,39 +871,6 @@ impl ChangeTask {
         self.mask_pool = Some(pool);
         self
     }
-
-    /// Attach a runtime context (shared health, deadline, fault injection).
-    #[must_use]
-    pub fn with_ctx(mut self, ctx: StageCtx) -> Self {
-        self.ctx = ctx;
-        self
-    }
-
-    /// Conclude a faulted frame; T3's frontier trails its prefix by one
-    /// (instance `ts` reads frame `ts − 1`).
-    fn conclude(&self, ts: Timestamp, fault: FrameFault) -> Result<(), Stop> {
-        match fault {
-            FrameFault::Stop => {
-                self.gate.mark_closed(ts.0);
-                if self.gate.should_close(self.cursor.commit(ts.0)) {
-                    self.out_chan.close();
-                }
-                Err(Stop)
-            }
-            FrameFault::Skip => {
-                // Tell blocked consumers immediately: this frame's mask is
-                // never coming (the load-independent skip cascade).
-                self.out.mark_skipped(ts);
-                let prefix = self.cursor.commit(ts.0);
-                self.input
-                    .advance_frontier(Timestamp(prefix.saturating_sub(1)));
-                if self.gate.should_close(prefix) {
-                    self.out_chan.close();
-                }
-                Ok(())
-            }
-        }
-    }
 }
 
 impl TaskBody for ChangeTask {
@@ -1001,51 +880,39 @@ impl TaskBody for ChangeTask {
 
     fn process(&self, ts: Timestamp, _chunk: Option<(u32, u32)>) -> Result<(), Stop> {
         self.ctx.begin(ts);
+        // Instance `ts` reads frame `ts − 1`: the frontier trails the prefix.
+        let advance = |prefix: Timestamp| {
+            self.input
+                .advance_frontier(Timestamp(prefix.0.saturating_sub(1)));
+        };
         let cur = match self.ctx.get(&self.input, ts) {
             Ok(c) => c,
-            Err(fault) => return self.conclude(ts, fault),
+            Err(fault) => return self.out.settle(&self.ctx, ts, Err(fault), (), advance),
         };
         let prev = match ts.prev() {
             Some(p) => match self.ctx.get(&self.input, p) {
                 Ok(g) => Some(g),
-                Err(fault) => return self.conclude(ts, fault),
+                Err(fault) => return self.out.settle(&self.ctx, ts, Err(fault), cur, advance),
             },
             None => None,
         };
-        let prev_frame: Option<&Frame> = prev.as_ref().map(|g| &**g.value);
-        let t0 = self.ctx.rec_now();
-        let c0 = self.ctx.work_begin(ts);
-        let mask = match &self.mask_pool {
-            Some(pool) => {
-                let frame = &cur.value;
-                let mut buf = pool.take_or(|| BitMask::new(frame.width, frame.height));
-                self.ctx.backend().change_detection_into(
-                    frame,
-                    prev_frame,
-                    self.threshold,
-                    &mut buf,
-                );
-                buf
+        let mask = self.ctx.compute(ts, || {
+            let frame: &Frame = &cur.value;
+            let prev_frame: Option<&Frame> = prev.as_ref().map(|g| &**g.value);
+            let backend = self.ctx.backend();
+            match &self.mask_pool {
+                Some(pool) => {
+                    let mut buf = pool.take_or(|| BitMask::new(frame.width, frame.height));
+                    backend.change_detection_into(frame, prev_frame, self.threshold, &mut buf);
+                    buf
+                }
+                None => {
+                    Pooled::unpooled(backend.change_detection(frame, prev_frame, self.threshold))
+                }
             }
-            None => Pooled::unpooled(self.ctx.backend().change_detection(
-                &cur.value,
-                prev_frame,
-                self.threshold,
-            )),
-        };
-        self.ctx.work_end(c0);
-        self.ctx.rec_span(SpanKind::Compute, ts.0, None, t0);
-        if let Err(fault) = self.ctx.put(&self.out, ts, mask) {
-            return self.conclude(ts, fault);
-        }
-        self.ctx.mark_stage(ts.0);
-        let prefix = self.cursor.commit(ts.0);
-        self.input
-            .advance_frontier(Timestamp(prefix.saturating_sub(1)));
-        if self.gate.should_close(prefix) {
-            self.out_chan.close();
-        }
-        Ok(())
+        });
+        self.out
+            .settle(&self.ctx, ts, Ok(mask), (cur, prev), advance)
     }
 }
 
@@ -1099,56 +966,15 @@ impl ChunkJob {
     }
 }
 
-/// One histogram row strip farmed to the worker pool (T2's Fig. 9 worker).
-pub struct HistJob {
-    frame: Arc<PooledFrame>,
-    region: Region,
-    idx: usize,
-    /// Frame timestamp and total strip count, for span attribution.
-    ts: u64,
-    total: u16,
-    /// The compute backend the strip kernel dispatches through.
-    backend: &'static dyn ComputeBackend,
-    /// Records a [`SpanKind::PoolChunk`] span on the worker thread.
-    rec: Option<Recorder>,
-    reply: crossbeam::channel::Sender<(usize, u64, ColorHist)>,
-}
-
-impl HistJob {
-    /// Compute the strip's partial histogram and send it — with the
-    /// kernel's wall time, the joiner's strip-tuning signal — to the
-    /// joiner.
-    pub fn run(self) {
-        let t0 = self.rec.as_ref().map(Recorder::now_ns);
-        let k0 = Instant::now();
-        let partial = self.backend.region_histogram(&self.frame, self.region);
-        let kernel_ns = k0.elapsed().as_nanos().min(u128::from(u64::MAX)) as u64;
-        if let (Some(r), Some(t0)) = (&self.rec, t0) {
-            let now = r.now_ns();
-            r.span(
-                SpanKind::PoolChunk,
-                Stage::Histogram.index(),
-                self.ts,
-                Some((self.idx as u16, self.total)),
-                t0,
-                now,
-            );
-        }
-        let _ = self.reply.send((self.idx, kernel_ns, partial));
-    }
-}
-
-/// The job type of the shared data-parallel worker pool: detection chunks,
-/// histogram strips, and the adaptation loop's background re-searches all
-/// ride the same workers, so one pool serves every off-frame-path consumer.
+/// The job type of the shared worker pool: T4's detection chunks and the
+/// adaptation loop's background re-searches ride the same workers, so one
+/// pool serves every off-frame-path consumer.
 pub enum PoolJob {
     /// A T4 detection chunk.
     Detect(ChunkJob),
-    /// A T2 histogram row strip.
-    Hist(HistJob),
     /// A drift- or synthesis-triggered schedule re-search (boxed: it
     /// carries a whole task graph and cluster spec, and must not bloat the
-    /// per-chunk variants the hot path allocates).
+    /// per-chunk variant the hot path allocates).
     Resched(Box<ReschedJob>),
 }
 
@@ -1157,7 +983,6 @@ impl PoolJob {
     pub fn run(self) {
         match self {
             PoolJob::Detect(j) => j.run(),
-            PoolJob::Hist(j) => j.run(),
             PoolJob::Resched(j) => j.run(),
         }
     }
@@ -1178,8 +1003,7 @@ pub struct DetectTask {
     in_frames: InputConn<PooledFrame>,
     in_hist: InputConn<ColorHist>,
     in_mask: InputConn<PooledMask>,
-    out: OutputConn<Vec<ScoreMap>>,
-    out_chan: Channel<Vec<ScoreMap>>,
+    out: StageOut<Vec<ScoreMap>>,
     models: Arc<Vec<ColorHist>>,
     width: usize,
     height: usize,
@@ -1191,14 +1015,12 @@ pub struct DetectTask {
     /// Worker pool for intra-task parallelism in online mode.
     pool: Option<Arc<WorkerPool<PoolJob>>>,
     ctx: StageCtx,
-    cursor: SharedCursor,
-    gate: CloseGate,
     /// Per-timestamp join state in scheduled-chunk mode.
     pending: Mutex<HashMap<u64, PendingJoin>>,
 }
 
 impl DetectTask {
-    /// Create the detection task.
+    /// Create the detection task, producing into `out_chan` under `ctx`.
     #[must_use]
     #[allow(clippy::too_many_arguments)]
     pub fn new(
@@ -1210,22 +1032,20 @@ impl DetectTask {
         width: usize,
         height: usize,
         fixed_decomp: (u32, u32),
+        ctx: StageCtx,
     ) -> Self {
         DetectTask {
             in_frames,
             in_hist,
             in_mask,
-            out: out_chan.attach_output(),
-            out_chan,
+            out: StageOut::new(out_chan),
             models: Arc::new(models),
             width,
             height,
             fixed_decomp,
             controller: None,
             pool: None,
-            ctx: StageCtx::new(Stage::Detect),
-            cursor: SharedCursor::default(),
-            gate: CloseGate::default(),
+            ctx,
             pending: Mutex::new(HashMap::new()),
         }
     }
@@ -1241,13 +1061,6 @@ impl DetectTask {
     #[must_use]
     pub fn with_pool(mut self, pool: Arc<WorkerPool<PoolJob>>) -> Self {
         self.pool = Some(pool);
-        self
-    }
-
-    /// Attach a runtime context (shared health, deadline, fault injection).
-    #[must_use]
-    pub fn with_ctx(mut self, ctx: StageCtx) -> Self {
-        self.ctx = ctx;
         self
     }
 
@@ -1284,46 +1097,88 @@ impl DetectTask {
         Ok((frame, hist, mask))
     }
 
-    /// Conclude a faulted frame: stop at end-of-stream, or skip-commit the
-    /// frame (all three input frontiers advance as a publish would).
-    fn conclude(&self, ts: Timestamp, fault: FrameFault) -> Result<(), Stop> {
-        match fault {
-            FrameFault::Stop => {
-                self.gate.mark_closed(ts.0);
-                if self.gate.should_close(self.cursor.commit(ts.0)) {
-                    self.out_chan.close();
-                }
-                Err(Stop)
-            }
-            FrameFault::Skip => {
-                // Tell blocked consumers immediately: this frame's scores
-                // are never coming (the load-independent skip cascade).
-                self.out.mark_skipped(ts);
-                let prefix = Timestamp(self.cursor.commit(ts.0));
-                self.in_frames.advance_frontier(prefix);
-                self.in_hist.advance_frontier(prefix);
-                self.in_mask.advance_frontier(prefix);
-                if self.gate.should_close(prefix.0) {
-                    self.out_chan.close();
-                }
-                Ok(())
-            }
-        }
+    /// Settle frame `ts` through the output; all three input frontiers
+    /// advance together.
+    fn settle<H>(
+        &self,
+        ts: Timestamp,
+        result: Result<Vec<ScoreMap>, FrameFault>,
+        held: H,
+    ) -> Result<(), Stop> {
+        self.out.settle(&self.ctx, ts, result, held, |prefix| {
+            self.in_frames.advance_frontier(prefix);
+            self.in_hist.advance_frontier(prefix);
+            self.in_mask.advance_frontier(prefix);
+        })
     }
 
-    fn publish(&self, ts: Timestamp, maps: Vec<ScoreMap>) -> Result<(), Stop> {
-        if let Err(fault) = self.ctx.put(&self.out, ts, maps) {
-            return self.conclude(ts, fault);
-        }
-        self.ctx.mark_stage(ts.0);
-        let prefix = Timestamp(self.cursor.commit(ts.0));
-        self.in_frames.advance_frontier(prefix);
-        self.in_hist.advance_frontier(prefix);
-        self.in_mask.advance_frontier(prefix);
-        if self.gate.should_close(prefix.0) {
-            self.out_chan.close();
-        }
-        Ok(())
+    /// One whole activation: splitter, workers (or serial), joiner.
+    fn detect_frame(&self, ts: Timestamp, inputs: &DetectInputs) -> Vec<ScoreMap> {
+        let (frame, hist, mask) = inputs;
+        let (fp, mp) = self.current_decomp();
+        self.ctx
+            .rec_instant(SpanKind::Decomp, ts.0, Some((fp as u16, mp as u16)));
+        let chunks = detect_chunks(
+            self.width,
+            self.height,
+            self.models.len(),
+            fp as usize,
+            mp as usize,
+        );
+        let partials: Vec<PartialScores> = match (&self.pool, chunks.len()) {
+            (Some(pool), n) if n > 1 => {
+                let (tx, rx) = bounded(n);
+                let rec = self.ctx.recorder();
+                for (idx, &c) in chunks.iter().enumerate() {
+                    let job = PoolJob::Detect(ChunkJob {
+                        frame: Arc::clone(frame),
+                        hist: Arc::clone(hist),
+                        mask: Arc::clone(mask),
+                        models: Arc::clone(&self.models),
+                        chunk: c,
+                        idx,
+                        ts: ts.0,
+                        total: n as u16,
+                        rec: rec.clone(),
+                        reply: tx.clone(),
+                    });
+                    self.ctx.submit_or_run(pool, job);
+                }
+                drop(tx);
+                // Indexed replies: a missing slot means the chunk's worker
+                // panicked before sending — the joiner recomputes it inline
+                // (degradation ladder rung 3), keeping the frame's output
+                // bit-identical.
+                let join_t0 = self.ctx.rec_now();
+                let mut slots: Vec<Option<Vec<PartialScores>>> = (0..n).map(|_| None).collect();
+                for (idx, p) in rx.iter() {
+                    slots[idx] = Some(p);
+                }
+                self.ctx.rec_span(SpanKind::Join, ts.0, None, join_t0);
+                let mut partials = Vec::new();
+                for (idx, slot) in slots.into_iter().enumerate() {
+                    match slot {
+                        Some(p) => partials.extend(p),
+                        None => {
+                            self.ctx.health().record_chunk_recompute();
+                            partials.extend(target_detection_chunk(
+                                frame,
+                                hist,
+                                &self.models,
+                                mask,
+                                chunks[idx],
+                            ));
+                        }
+                    }
+                }
+                partials
+            }
+            _ => chunks
+                .iter()
+                .flat_map(|&c| target_detection_chunk(frame, hist, &self.models, mask, c))
+                .collect(),
+        };
+        merge_partials(self.width, self.height, self.models.len(), &partials)
     }
 }
 
@@ -1336,83 +1191,12 @@ impl TaskBody for DetectTask {
         self.ctx.begin(ts);
         match chunk {
             None => {
-                // Whole activation: splitter + workers (or serial) + joiner.
-                let (frame, hist, mask) = match self.inputs(ts) {
+                let inputs = match self.inputs(ts) {
                     Ok(v) => v,
-                    Err(fault) => return self.conclude(ts, fault),
+                    Err(fault) => return self.settle(ts, Err(fault), ()),
                 };
-                let t0 = self.ctx.rec_now();
-                let c0 = self.ctx.work_begin(ts);
-                let (fp, mp) = self.current_decomp();
-                self.ctx
-                    .rec_instant(SpanKind::Decomp, ts.0, Some((fp as u16, mp as u16)));
-                let chunks = detect_chunks(
-                    self.width,
-                    self.height,
-                    self.models.len(),
-                    fp as usize,
-                    mp as usize,
-                );
-                let partials: Vec<PartialScores> = match (&self.pool, chunks.len()) {
-                    (Some(pool), n) if n > 1 => {
-                        let (tx, rx) = bounded(n);
-                        let rec = self.ctx.recorder();
-                        for (idx, &c) in chunks.iter().enumerate() {
-                            let job = PoolJob::Detect(ChunkJob {
-                                frame: Arc::clone(&frame),
-                                hist: Arc::clone(&hist),
-                                mask: Arc::clone(&mask),
-                                models: Arc::clone(&self.models),
-                                chunk: c,
-                                idx,
-                                ts: ts.0,
-                                total: n as u16,
-                                rec: rec.clone(),
-                                reply: tx.clone(),
-                            });
-                            self.ctx.submit_or_run(pool, job);
-                        }
-                        drop(tx);
-                        // Indexed replies: a missing slot means the chunk's
-                        // worker panicked before sending — the joiner
-                        // recomputes it inline (degradation ladder rung 3),
-                        // keeping the frame's output bit-identical.
-                        let join_t0 = self.ctx.rec_now();
-                        let mut slots: Vec<Option<Vec<PartialScores>>> =
-                            (0..n).map(|_| None).collect();
-                        for (idx, p) in rx.iter() {
-                            slots[idx] = Some(p);
-                        }
-                        self.ctx.rec_span(SpanKind::Join, ts.0, None, join_t0);
-                        let mut partials = Vec::new();
-                        for (idx, slot) in slots.into_iter().enumerate() {
-                            match slot {
-                                Some(p) => partials.extend(p),
-                                None => {
-                                    self.ctx.health().record_chunk_recompute();
-                                    partials.extend(target_detection_chunk(
-                                        &frame,
-                                        &hist,
-                                        &self.models,
-                                        &mask,
-                                        chunks[idx],
-                                    ));
-                                }
-                            }
-                        }
-                        partials
-                    }
-                    _ => chunks
-                        .iter()
-                        .flat_map(|&c| {
-                            target_detection_chunk(&frame, &hist, &self.models, &mask, c)
-                        })
-                        .collect(),
-                };
-                let maps = merge_partials(self.width, self.height, self.models.len(), &partials);
-                self.ctx.work_end(c0);
-                self.ctx.rec_span(SpanKind::Compute, ts.0, None, t0);
-                self.publish(ts, maps)
+                let maps = self.ctx.compute(ts, || self.detect_frame(ts, &inputs));
+                self.settle(ts, Ok(maps), inputs)
             }
             Some((idx, count)) => {
                 // One chunk under an explicit schedule; the last chunk
@@ -1421,7 +1205,7 @@ impl TaskBody for DetectTask {
                 // instead of leaking pending state.
                 let inputs = match self.inputs(ts) {
                     Ok(v) => Some(v),
-                    Err(FrameFault::Stop) => return self.conclude(ts, FrameFault::Stop),
+                    Err(FrameFault::Stop) => return self.settle(ts, Err(FrameFault::Stop), ()),
                     Err(FrameFault::Skip) => None,
                 };
                 let mut partials = Vec::new();
@@ -1481,9 +1265,9 @@ impl TaskBody for DetectTask {
                             self.models.len(),
                             &join.partials,
                         );
-                        self.publish(ts, maps)
+                        self.settle(ts, Ok(maps), inputs)
                     }
-                    Some(_) => self.conclude(ts, FrameFault::Skip),
+                    Some(_) => self.settle(ts, Err(FrameFault::Skip), inputs),
                     None => Ok(()),
                 }
             }
@@ -1498,62 +1282,26 @@ impl TaskBody for DetectTask {
 /// T5: peak detection over the back projections → "Model Locations".
 pub struct PeakTask {
     input: InputConn<Vec<ScoreMap>>,
-    out: OutputConn<Vec<ModelLocation>>,
-    out_chan: Channel<Vec<ModelLocation>>,
+    out: StageOut<Vec<ModelLocation>>,
     min_score: f32,
     ctx: StageCtx,
-    cursor: SharedCursor,
-    gate: CloseGate,
 }
 
 impl PeakTask {
-    /// Create the peak-detection task, producing into `out_chan`.
+    /// Create the peak-detection task, producing into `out_chan` under
+    /// `ctx`.
     #[must_use]
     pub fn new(
         input: InputConn<Vec<ScoreMap>>,
         out_chan: Channel<Vec<ModelLocation>>,
         min_score: f32,
+        ctx: StageCtx,
     ) -> Self {
         PeakTask {
             input,
-            out: out_chan.attach_output(),
-            out_chan,
+            out: StageOut::new(out_chan),
             min_score,
-            ctx: StageCtx::new(Stage::Peak),
-            cursor: SharedCursor::default(),
-            gate: CloseGate::default(),
-        }
-    }
-
-    /// Attach a runtime context (shared health, deadline, fault injection).
-    #[must_use]
-    pub fn with_ctx(mut self, ctx: StageCtx) -> Self {
-        self.ctx = ctx;
-        self
-    }
-
-    /// Conclude a faulted frame: stop at end-of-stream, or skip-commit.
-    fn conclude(&self, ts: Timestamp, fault: FrameFault) -> Result<(), Stop> {
-        match fault {
-            FrameFault::Stop => {
-                self.gate.mark_closed(ts.0);
-                if self.gate.should_close(self.cursor.commit(ts.0)) {
-                    self.out_chan.close();
-                }
-                Err(Stop)
-            }
-            FrameFault::Skip => {
-                // Tell blocked consumers immediately: this frame's
-                // locations are never coming (the load-independent skip
-                // cascade).
-                self.out.mark_skipped(ts);
-                let prefix = self.cursor.commit(ts.0);
-                self.input.advance_frontier(Timestamp(prefix));
-                if self.gate.should_close(prefix) {
-                    self.out_chan.close();
-                }
-                Ok(())
-            }
+            ctx,
         }
     }
 }
@@ -1565,25 +1313,15 @@ impl TaskBody for PeakTask {
 
     fn process(&self, ts: Timestamp, _chunk: Option<(u32, u32)>) -> Result<(), Stop> {
         self.ctx.begin(ts);
+        let advance = |prefix| self.input.advance_frontier(prefix);
         let scores = match self.ctx.get(&self.input, ts) {
             Ok(s) => s,
-            Err(fault) => return self.conclude(ts, fault),
+            Err(fault) => return self.out.settle(&self.ctx, ts, Err(fault), (), advance),
         };
-        let t0 = self.ctx.rec_now();
-        let c0 = self.ctx.work_begin(ts);
-        let locs = peak_detection(&scores.value, self.min_score);
-        self.ctx.work_end(c0);
-        self.ctx.rec_span(SpanKind::Compute, ts.0, None, t0);
-        if let Err(fault) = self.ctx.put(&self.out, ts, locs) {
-            return self.conclude(ts, fault);
-        }
-        self.ctx.mark_stage(ts.0);
-        let prefix = self.cursor.commit(ts.0);
-        self.input.advance_frontier(Timestamp(prefix));
-        if self.gate.should_close(prefix) {
-            self.out_chan.close();
-        }
-        Ok(())
+        let locs = self
+            .ctx
+            .compute(ts, || peak_detection(&scores.value, self.min_score));
+        self.out.settle(&self.ctx, ts, Ok(locs), scores, advance)
     }
 }
 
@@ -1608,30 +1346,24 @@ pub struct FaceTask {
 }
 
 impl FaceTask {
-    /// Create the sink task.
+    /// Create the sink task under `ctx`.
     #[must_use]
     pub fn new(
         input: InputConn<Vec<ModelLocation>>,
         measure: Arc<Measurements>,
         controller: Option<Arc<RegimeController>>,
+        ctx: StageCtx,
     ) -> Self {
         FaceTask {
             input,
             measure,
             controller,
             adapt: None,
-            ctx: StageCtx::new(Stage::Face),
+            ctx,
             locations_log: Mutex::new(Vec::new()),
             full_log: Mutex::new(Vec::new()),
             cursor: SharedCursor::default(),
         }
-    }
-
-    /// Attach a runtime context (shared health, deadline, fault injection).
-    #[must_use]
-    pub fn with_ctx(mut self, ctx: StageCtx) -> Self {
-        self.ctx = ctx;
-        self
     }
 
     /// Drive the adaptation loop from this sink: its frame-boundary hook
@@ -1680,11 +1412,7 @@ impl TaskBody for FaceTask {
                 return Ok(());
             }
         };
-        let t0 = self.ctx.rec_now();
-        let c0 = self.ctx.work_begin(ts);
-        let count = detected_count(&locs.value);
-        self.ctx.work_end(c0);
-        self.ctx.rec_span(SpanKind::Compute, ts.0, None, t0);
+        let count = self.ctx.compute(ts, || detected_count(&locs.value));
         self.measure.mark_completed(ts.0);
         self.ctx.rec_instant(SpanKind::Commit, ts.0, None);
         self.ctx.tap_commit(ts.0, count, &locs.value);
@@ -1798,5 +1526,57 @@ mod tests {
         // Closed channel: genuine stop.
         chan.close();
         assert_eq!(ctx.put(&out, Timestamp(4), 3).err(), Some(FrameFault::Stop));
+    }
+
+    #[test]
+    fn settle_skips_to_the_prefix_and_the_last_instance_below_a_stop_closes() {
+        let upstream: Channel<u32> = ChannelBuilder::new("in").capacity(8).build();
+        let input = upstream.attach_input();
+        let chan: Channel<u32> = ChannelBuilder::new("out").capacity(8).build();
+        let reader = chan.attach_input();
+        let out = StageOut::new(chan.clone());
+        let ctx = StageCtx::new(Stage::Peak);
+        let events = Mutex::new(Vec::new());
+        let advance = |prefix: Timestamp| {
+            input.advance_frontier(prefix);
+            events.lock().push("advance");
+        };
+        struct Held<'a>(&'a Mutex<Vec<&'static str>>);
+        impl Drop for Held<'_> {
+            fn drop(&mut self) {
+                self.0.lock().push("drop");
+            }
+        }
+
+        // Skip at 1 while 0 is in flight: consumers are told at once, and
+        // the frontier waits for the prefix. The fetched inputs outlive
+        // the frontier advance.
+        let r = out.settle(
+            &ctx,
+            Timestamp(1),
+            Err(FrameFault::Skip),
+            Held(&events),
+            advance,
+        );
+        assert_eq!(r, Ok(()));
+        assert_eq!(*events.lock(), ["advance", "drop"]);
+        let miss = reader.try_get(TsSpec::Exact(Timestamp(1))).err();
+        assert_eq!(miss.map(|m| m.reason), Some(MissReason::Skipped));
+        assert_eq!(input.frontier(), Timestamp(0));
+        assert_eq!(out.settle(&ctx, Timestamp(0), Ok(7), (), advance), Ok(()));
+        assert_eq!(input.frontier(), Timestamp(2));
+        assert_eq!(*reader.get(TsSpec::Exact(Timestamp(0))).unwrap().value, 7);
+
+        // End of stream seen at 4 while 2 and 3 are unsettled: the output
+        // stays open until the last of them settles.
+        let r = out.settle(&ctx, Timestamp(4), Err(FrameFault::Stop), (), advance);
+        assert_eq!(r, Err(Stop));
+        assert!(!chan.is_closed());
+        assert_eq!(out.settle(&ctx, Timestamp(3), Ok(9), (), advance), Ok(()));
+        assert!(!chan.is_closed(), "frame 2 is still in flight");
+        let r = out.settle(&ctx, Timestamp(2), Err(FrameFault::Skip), (), advance);
+        assert_eq!(r, Ok(()));
+        assert!(chan.is_closed(), "the last instance below the stop closes");
+        assert!(ctx.health().report().is_clean());
     }
 }

@@ -61,11 +61,12 @@ fn injected_compute_drift_triggers_research_and_swap() {
     cfg.channel_capacity = n_frames as usize + 2;
     cfg.faults = Some(Arc::clone(&inj));
     let scene = Scene::demo(cfg.width, cfg.height, cfg.n_targets, cfg.seed);
-    let app = TrackerApp::build_adaptive(
+    let app = TrackerApp::assemble(
         &cfg,
         scene,
         Some(Arc::clone(&controller)),
         Some(Arc::clone(&adapt)),
+        None,
     );
 
     let stats = OnlineExecutor::run(&app, 0);

@@ -57,6 +57,11 @@ fn back_projections_hold_one_item_under_a_saturated_crowd() {
     assert_eq!(held, 0, "drained at the end of the run");
     let pool = app.pool_health().expect("a pool is attached");
     assert!(pool.is_clean(), "pool faults: {pool}");
+    // T4 is the only stage that farms work out: two chunks a frame, and
+    // not one job more. (Only the submitted count is exact: a worker
+    // counts a job executed after sending its reply.)
+    let (submitted, _) = app.pool_load().expect("a pool is attached");
+    assert_eq!(submitted, 120 * 2, "one job per T4 chunk");
     assert!(app.health.report().is_clean(), "{}", app.health.report());
 }
 

@@ -1,8 +1,8 @@
 //! The data-path overhaul's contract: buffer recycling and worker-pool
 //! farming are pure performance changes. Tracker output must be
 //! bit-identical between the old path (fresh allocations, serial kernels)
-//! and the new one (pooled buffers, strip/chunk farming) — every kernel
-//! overwrites recycled buffers completely and histogram partials merge
+//! and the new one (pooled buffers, T4 chunk farming) — every kernel
+//! overwrites recycled buffers completely and detection partials merge
 //! exactly in any order.
 
 use runtime::{OnlineExecutor, TrackerApp, TrackerConfig};
@@ -40,8 +40,8 @@ fn full_new_data_path_matches_old_serial_path() {
     // Old path: fresh allocations, (1,1) decomposition, no worker pool.
     let mut old_cfg = TrackerConfig::small(2, 8);
     old_cfg.recycle_buffers = false;
-    // New path: recycled buffers, (2,2) detect chunks and histogram strips
-    // farmed to a shared worker pool.
+    // New path: recycled buffers, (2,2) detect chunks farmed to a worker
+    // pool.
     let mut new_cfg = TrackerConfig::small(2, 8);
     new_cfg.recycle_buffers = true;
     new_cfg.decomposition = (2, 2);

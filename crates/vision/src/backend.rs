@@ -26,7 +26,6 @@ use std::sync::OnceLock;
 use crate::change::{change_detection_into, change_detection_scalar};
 use crate::color::ColorHist;
 use crate::frame::{BitMask, Frame, Region};
-use crate::histogram::image_histogram_striped;
 use crate::synth::Scene;
 
 /// Which kernel implementation tier to run.
@@ -112,23 +111,12 @@ pub trait ComputeBackend: Send + Sync {
         String::from("portable")
     }
 
-    /// T2 on a frame region — the unit farmed to pool workers.
+    /// T2 on a frame region.
     fn region_histogram(&self, frame: &Frame, region: Region) -> ColorHist;
 
     /// T2 on a whole frame.
     fn image_histogram(&self, frame: &Frame) -> ColorHist {
         self.region_histogram(frame, frame.region())
-    }
-
-    /// T2 as `n` merged row strips (the serial form of the FP
-    /// decomposition; exactly equal to [`image_histogram`](Self::image_histogram)
-    /// in any merge order).
-    fn striped_histogram(&self, frame: &Frame, n: usize) -> ColorHist {
-        let mut merged = ColorHist::empty();
-        for strip in frame.region().split_rows(n) {
-            merged.merge(&self.region_histogram(frame, strip));
-        }
-        merged
     }
 
     /// T3 into a caller-provided mask buffer (every bit overwritten; final-
@@ -195,10 +183,6 @@ impl ComputeBackend for Word {
 
     fn region_histogram(&self, frame: &Frame, region: Region) -> ColorHist {
         ColorHist::of_region(frame, region)
-    }
-
-    fn striped_histogram(&self, frame: &Frame, n: usize) -> ColorHist {
-        image_histogram_striped(frame, n)
     }
 
     fn change_detection_into(
@@ -357,11 +341,6 @@ mod tests {
                 b.image_histogram(&cur),
                 scalar.image_histogram(&cur),
                 "{kind:?} histogram"
-            );
-            assert_eq!(
-                b.striped_histogram(&cur, 3),
-                scalar.striped_histogram(&cur, 3),
-                "{kind:?} striped"
             );
             // Thresholds straddling the SIMD saturation boundary, the
             // no-previous-frame path, and a dirty recycled mask.

@@ -117,8 +117,12 @@ impl ColorHist {
             // words by shift+mask instead of per-byte loads.
             let mut quads = row.chunks_exact(12);
             for q in quads.by_ref() {
+                // INVARIANT: `chunks_exact(12)` yields 12-byte slices, so
+                // each 4-byte sub-slice converts to `[u8; 4]`.
                 let wa = u32::from_le_bytes(q[0..4].try_into().expect("4 bytes"));
+                // INVARIANT: as above.
                 let wb = u32::from_le_bytes(q[4..8].try_into().expect("4 bytes"));
+                // INVARIANT: as above.
                 let wc = u32::from_le_bytes(q[8..12].try_into().expect("4 bytes"));
                 let p0 = ((wa & 0xF0) << 4) | ((wa >> 8) & 0xF0) | ((wa >> 20) & 0xF);
                 let p1 = (((wa >> 24) & 0xF0) << 4) | (wb & 0xF0) | ((wb >> 12) & 0xF);

@@ -61,7 +61,7 @@ pub use detect::{
 };
 pub use enroll::{enroll_from_motion, motion_bbox};
 pub use frame::{BitMask, Frame, Region};
-pub use histogram::{image_histogram, image_histogram_scalar, image_histogram_striped};
+pub use histogram::{image_histogram, image_histogram_scalar};
 pub use kiosk::{occupancy_track, KioskConfig, Visit};
 pub use peak::{peak_detection, ModelLocation};
 pub use synth::{Scene, TargetSpec};

@@ -58,19 +58,16 @@ proptest! {
 
     /// Region histograms: random sub-regions — including sub-lane widths
     /// and misaligned x offsets — bin for bin equal across backends, and
-    /// striped merges at random bank/strip counts equal the whole-image
-    /// oracle.
+    /// whole-image histograms equal the whole-image oracle.
     #[test]
     fn histograms_match_scalar_over_random_regions(
         w in 1usize..64,
         h in 1usize..16,
         x0 in 0usize..40,
         y0 in 0usize..10,
-        strips in 1usize..7,
         seed in 0u64..1_000_000,
     ) {
         let frame = noise_frame(w, h, seed + 7);
-        let strips = strips.min(h); // split_rows' caller contract
         let x0 = x0.min(w - 1);
         let y0 = y0.min(h - 1);
         let region = Region { x0, y0, x1: w, y1: h };
@@ -83,10 +80,7 @@ proptest! {
                 &b.region_histogram(&frame, region), &want_region,
                 "{:?} region {:?}", kind, region
             );
-            prop_assert_eq!(
-                &b.striped_histogram(&frame, strips), &want_image,
-                "{:?} striped n={}", kind, strips
-            );
+            prop_assert_eq!(&b.image_histogram(&frame), &want_image, "{:?} image", kind);
         }
     }
 
