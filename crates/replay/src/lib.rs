@@ -14,7 +14,7 @@
 //!
 //! * every compute stage is a pure function of its STM inputs (kernels are
 //!   bit-identical across decompositions and backends);
-//! * all nondeterminism enters through the [`StageCtx`] funnel — input
+//! * all nondeterminism enters through the `StageCtx` funnel — input
 //!   skips and digitizer output are the only timing-dependent events;
 //! * the sink settles frames in timestamp order, so the controller's
 //!   observation sequence is determined by which frames committed.
@@ -29,11 +29,11 @@
 //! STM store's bucketed layout and two encodes of equal content are
 //! byte-identical — the determinism witness CI checks.
 //!
-//! `StageCtx` lives in the `runtime` crate (which depends on this one);
-//! the integration points are [`RecordTap`] (live side) and
-//! [`ReplaySource`] (replay side).
-//!
-//! [`StageCtx`]: https://docs.rs/runtime
+//! `StageCtx` is crate-private to `runtime` (which depends on this one):
+//! each stage's view of its app's one run context, through which every
+//! STM get/put, skip and commit of the six stages passes. The tap sits in
+//! that run context, so the integration points are [`RecordTap`] (live
+//! side) and [`ReplaySource`] (replay side).
 
 #![warn(missing_docs)]
 #![forbid(unsafe_code)]

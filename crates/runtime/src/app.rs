@@ -17,15 +17,9 @@ use crate::measure::Measurements;
 use crate::pool::{PoolHealth, PriorityClass, WorkerPool};
 use crate::regime_rt::RegimeController;
 use crate::tasks::{
-    ChangeTask, DetectTask, DigitizerTask, FaceTask, HistogramTask, PeakTask, PoolJob, StageCtx,
-    TaskBody,
+    Change, Detect, DigitizerTask, FaceTask, Histogram, Peak, PoolJob, RunCtx, StageCtx, TaskBody,
+    Transform,
 };
-
-/// Default per-frame latency budget when fault injection is on but no
-/// explicit deadline was configured: generous for test-sized frames, yet
-/// bounded, so an upstream drop cascades as clean deadline skips instead of
-/// deadlocking downstream stages.
-const DEFAULT_FAULT_DEADLINE: Duration = Duration::from_millis(400);
 
 /// Capacity of the "Back Projections" channel, whatever
 /// [`TrackerConfig::channel_capacity`] says. Its items are the fattest
@@ -161,17 +155,16 @@ impl TrackerConfig {
     }
 }
 
-/// One tenant's view of fleet-shared runtime resources: the fleet-wide
-/// worker pool and buffer freelists (shared by every tenant), plus this
-/// tenant's private weighted-fairness boost flag. Passing one of these to
-/// [`TrackerApp::assemble`] suppresses the app's internal pool/freelist
-/// construction — a thousand tenants then multiplex one pool instead of
-/// spawning a thousand.
+/// The worker pool, buffer freelists, flags and class an app runs with. A
+/// fleet hands each tenant one over the fleet-wide pool and freelists (a
+/// thousand tenants then multiplex one pool instead of spawning a
+/// thousand), with the tenant's own flags; a solo app builds its own from
+/// its [`TrackerConfig`].
 #[derive(Clone)]
 pub struct SharedResources {
-    /// The fleet-wide worker pool every tenant's T4 detection chunks are
-    /// submitted to.
-    pub pool: Arc<WorkerPool<PoolJob>>,
+    /// The worker pool T4's detection chunks are submitted to (`None` runs
+    /// them inline).
+    pub pool: Option<Arc<WorkerPool<PoolJob>>>,
     /// Shared frame-buffer freelist (`None` disables recycling).
     pub frame_pool: Option<BufPool<Frame>>,
     /// Shared mask-buffer freelist (`None` disables recycling).
@@ -189,6 +182,39 @@ pub struct SharedResources {
     /// Shed flag: while `true`, the digitizer skip-commits frames instead
     /// of rendering them (BestEffort degradation under fleet pressure).
     pub shed: Arc<AtomicBool>,
+}
+
+impl SharedResources {
+    /// A solo app's resources: a private pool of `cfg.pool_workers` (none
+    /// at 0), freelists when `cfg.recycle_buffers`, the default class, and
+    /// boost, halt and shed flags nobody raises.
+    pub(crate) fn solo(cfg: &TrackerConfig) -> Self {
+        let pool = (cfg.pool_workers > 0).then(|| match &cfg.faults {
+            // With fault injection attached, the handler probes the
+            // injector first — the injected panic lands inside the pool's
+            // catch_unwind, exactly where a real one would.
+            Some(f) => {
+                let f = Arc::clone(f);
+                Arc::new(WorkerPool::new(cfg.pool_workers, move |job: PoolJob| {
+                    f.maybe_panic_job();
+                    job.run();
+                }))
+            }
+            None => Arc::new(WorkerPool::new(cfg.pool_workers, PoolJob::run)),
+        });
+        // A few more idle slots than the channel can hold, so a drained
+        // pipeline never discards buffers it is about to reuse.
+        let slots = cfg.channel_capacity + 2;
+        SharedResources {
+            pool,
+            frame_pool: cfg.recycle_buffers.then(|| BufPool::new(slots)),
+            mask_pool: cfg.recycle_buffers.then(|| BufPool::new(slots)),
+            boost: Arc::default(),
+            class: PriorityClass::default(),
+            halt: Arc::default(),
+            shed: Arc::default(),
+        }
+    }
 }
 
 /// A fully wired tracker application: six task bodies in the task-id order
@@ -215,9 +241,7 @@ pub struct TrackerApp {
     /// The span recorder, when [`TrackerConfig::trace`] asked for one.
     pub recorder: Option<Recorder>,
     channels: AppChannels,
-    pool: Option<Arc<WorkerPool<PoolJob>>>,
-    frame_pool: Option<BufPool<Frame>>,
-    mask_pool: Option<BufPool<BitMask>>,
+    run: Arc<RunCtx>,
     channel_capacity: usize,
 }
 
@@ -291,12 +315,10 @@ impl TrackerApp {
     ///   hook, background re-searches ride the worker pool, and swap/launch
     ///   instants land on the trace. The loop should share `controller` —
     ///   that is where its swaps are installed.
-    /// * `shared` makes the app a fleet tenant: the worker pool and buffer
-    ///   freelists come from it instead of being built per app
-    ///   (`cfg.pool_workers` and `cfg.recycle_buffers` are then ignored),
-    ///   every stage carries the tenant's boost flag and class so the fleet
-    ///   monitor can route its pool jobs, and the digitizer its halt and
-    ///   shed flags.
+    /// * `shared` makes the app a fleet tenant: the worker pool, buffer
+    ///   freelists, flags and class come from it (`cfg.pool_workers` and
+    ///   `cfg.recycle_buffers` are then ignored). Without it the app builds
+    ///   its own with [`SharedResources`]' solo defaults.
     #[must_use]
     pub fn assemble(
         cfg: &TrackerConfig,
@@ -310,47 +332,22 @@ impl TrackerApp {
             (cfg.width, cfg.height),
             "scene and config sizes must agree"
         );
-        let models = scene.models();
-        let health = Arc::new(RuntimeHealth::default());
-        let measure = Arc::new(
-            Measurements::new(cfg.n_frames as usize)
-                .with_stages(Stage::ALL.len())
-                .with_health(Arc::clone(&health)),
-        );
-        let recorder = cfg.trace.map(|mode| Recorder::new(mode, Stage::names()));
-        // The deadline watchdog: explicit budget wins; injecting faults
-        // without one gets a bounded default so upstream drops cascade as
-        // recorded deadline skips instead of wedging downstream gets.
-        let deadline = cfg
-            .frame_deadline
-            .or(cfg.faults.as_ref().map(|_| DEFAULT_FAULT_DEADLINE));
-        let stage_ctx = |stage: Stage| {
-            let mut ctx = StageCtx::new(stage)
-                .with_health(Arc::clone(&health))
-                .with_measure(Arc::clone(&measure))
-                .with_backend(cfg.backend.get());
-            if let Some(d) = deadline {
-                ctx = ctx.with_deadline(d);
+        let shared = shared.map_or_else(|| SharedResources::solo(cfg), Clone::clone);
+        let run = Arc::new(RunCtx::new(cfg, shared, adapt.as_ref().map(|a| a.feed())));
+        let ctx = |stage| StageCtx::new(stage, &run);
+        if let Some(a) = &adapt {
+            if let Some(r) = &run.recorder {
+                a.attach_recorder(r.clone());
             }
-            if let Some(f) = &cfg.faults {
-                ctx = ctx.with_faults(Arc::clone(f));
+            if let Some(p) = &run.shared.pool {
+                a.attach_pool(Arc::clone(p));
             }
-            if let Some(r) = &recorder {
-                ctx = ctx.with_recorder(r.clone());
+        }
+        if let Some(c) = &controller {
+            c.attach_health(Arc::clone(&run.health));
+            if let Some(r) = &run.recorder {
+                c.attach_recorder(r.clone());
             }
-            if let Some(a) = &adapt {
-                ctx = ctx.with_cost_feed(a.feed());
-            }
-            if let Some(s) = shared {
-                ctx = ctx.with_boost(Arc::clone(&s.boost)).with_class(s.class);
-            }
-            if let Some(t) = &cfg.record {
-                ctx = ctx.with_tap(Arc::clone(t));
-            }
-            ctx
-        };
-        if let (Some(a), Some(r)) = (&adapt, &recorder) {
-            a.attach_recorder(r.clone());
         }
 
         // Every channel carries a byte weigher so the store's byte gauges
@@ -373,130 +370,66 @@ impl TrackerApp {
             .capacity(cap)
             .build_weighed(weigh_locations);
 
-        // Buffer pools: a few more idle slots than the channel can hold, so
-        // a drained pipeline never discards buffers it is about to reuse. A
-        // fleet tenant recycles through the shared freelists instead.
-        let (frame_pool, mask_pool) = match shared {
-            Some(s) => (s.frame_pool.clone(), s.mask_pool.clone()),
-            None if cfg.recycle_buffers => {
-                (Some(BufPool::new(cap + 2)), Some(BufPool::new(cap + 2)))
-            }
-            None => (None, None),
-        };
-
-        let digitizer_frames = cfg
-            .digitizer_dies_after
-            .map_or(cfg.n_frames, |d| d.min(cfg.n_frames));
-        let mut digitizer = DigitizerTask::new(
+        let digitizer = DigitizerTask::new(
             scene.clone(),
             frames.clone(),
             cfg.period,
-            digitizer_frames,
-            Arc::clone(&measure),
-            stage_ctx(Stage::Digitizer),
+            cfg.digitizer_dies_after
+                .map_or(cfg.n_frames, |d| d.min(cfg.n_frames)),
+            cfg.source.clone(),
+            ctx(Stage::Digitizer),
         );
-        if let Some(p) = &frame_pool {
-            digitizer = digitizer.with_frame_pool(p.clone());
-        }
-        if let Some(s) = shared {
-            digitizer = digitizer
-                .with_halt(Arc::clone(&s.halt))
-                .with_shed(Arc::clone(&s.shed));
-        }
-        if let Some(src) = &cfg.source {
-            digitizer = digitizer.with_source(Arc::clone(src));
-        }
-        let histogram = HistogramTask::new(
-            frames.attach_input(),
-            hist.clone(),
-            stage_ctx(Stage::Histogram),
-        );
-        let mut change = ChangeTask::new(
-            frames.attach_input(),
-            mask.clone(),
-            u16::from(vision::change::DEFAULT_THRESHOLD),
-            stage_ctx(Stage::Change),
-        );
-        if let Some(p) = &mask_pool {
-            change = change.with_mask_pool(p.clone());
-        }
-        let mut detect = DetectTask::new(
-            frames.attach_input(),
-            hist.attach_input(),
-            mask.attach_input(),
-            scores.clone(),
-            models,
-            cfg.width,
-            cfg.height,
-            cfg.decomposition,
-            stage_ctx(Stage::Detect),
-        );
-        if let Some(c) = &controller {
-            detect = detect.with_controller(Arc::clone(c));
-            c.attach_health(Arc::clone(&health));
-            if let Some(r) = &recorder {
-                c.attach_recorder(r.clone());
-            }
-        }
-        let pool = match shared {
-            Some(s) => Some(Arc::clone(&s.pool)),
-            None if cfg.pool_workers > 0 => Some(match &cfg.faults {
-                // With fault injection attached, the handler probes the
-                // injector first — the injected panic lands inside the
-                // pool's catch_unwind, exactly where a real one would.
-                Some(f) => {
-                    let f = Arc::clone(f);
-                    Arc::new(WorkerPool::new(cfg.pool_workers, move |job: PoolJob| {
-                        f.maybe_panic_job();
-                        job.run();
-                    }))
-                }
-                None => Arc::new(WorkerPool::new(cfg.pool_workers, PoolJob::run)),
-            }),
-            None => None,
+        let histogram = Histogram {
+            input: frames.attach_input(),
         };
-        if let Some(p) = &pool {
-            detect = detect.with_pool(Arc::clone(p));
-            if let Some(a) = &adapt {
-                a.attach_pool(Arc::clone(p));
-            }
-        }
-        let peak = PeakTask::new(
-            scores.attach_input(),
-            locations.clone(),
-            cfg.min_score,
-            stage_ctx(Stage::Peak),
-        );
-        let mut face = FaceTask::new(
+        let change = Change {
+            input: frames.attach_input(),
+            threshold: u16::from(vision::change::DEFAULT_THRESHOLD),
+        };
+        let detect = Detect {
+            in_frames: frames.attach_input(),
+            in_hist: hist.attach_input(),
+            in_mask: mask.attach_input(),
+            models: Arc::new(scene.models()),
+            width: cfg.width,
+            height: cfg.height,
+            fixed_decomp: cfg.decomposition,
+            controller: controller.clone(),
+            pending: Default::default(),
+        };
+        let peak = Peak {
+            input: scores.attach_input(),
+            min_score: cfg.min_score,
+        };
+        let face = Arc::new(FaceTask::new(
             locations.attach_input(),
-            Arc::clone(&measure),
             controller.clone(),
-            stage_ctx(Stage::Face),
-        );
-        if let Some(a) = &adapt {
-            face = face.with_adapt(Arc::clone(a));
-        }
-        let face = Arc::new(face);
-
+            adapt.clone(),
+            ctx(Stage::Face),
+        ));
         let tasks: Vec<Arc<dyn TaskBody>> = vec![
             Arc::new(digitizer),
-            Arc::new(histogram),
-            Arc::new(change),
-            Arc::new(detect),
-            Arc::new(peak),
+            Arc::new(Transform::new(
+                histogram,
+                hist.clone(),
+                ctx(Stage::Histogram),
+            )),
+            Arc::new(Transform::new(change, mask.clone(), ctx(Stage::Change))),
+            Arc::new(Transform::new(detect, scores.clone(), ctx(Stage::Detect))),
+            Arc::new(Transform::new(peak, locations.clone(), ctx(Stage::Peak))),
             Arc::clone(&face) as Arc<dyn TaskBody>,
         ];
 
         TrackerApp {
             tasks,
-            measure,
+            measure: Arc::clone(&run.measure),
             face,
             controller,
             adapt,
             scene,
             n_frames: cfg.n_frames,
-            health,
-            recorder,
+            health: Arc::clone(&run.health),
+            recorder: run.recorder.clone(),
             channels: AppChannels {
                 frames,
                 hist,
@@ -504,9 +437,7 @@ impl TrackerApp {
                 scores,
                 locations,
             },
-            pool,
-            frame_pool,
-            mask_pool,
+            run,
             channel_capacity: cap,
         }
     }
@@ -515,7 +446,7 @@ impl TrackerApp {
     /// respawned, inline fallbacks), when a pool is attached.
     #[must_use]
     pub fn pool_health(&self) -> Option<PoolHealth> {
-        self.pool.as_ref().map(|p| p.health())
+        self.run.shared.pool.as_ref().map(|p| p.health())
     }
 
     /// Block (condvar, not polling) until the attached pool has tallied at
@@ -523,7 +454,7 @@ impl TrackerApp {
     /// trivially true when no pool is attached and `n == 0`.
     #[must_use]
     pub fn wait_pool_panics(&self, n: u64, timeout: Duration) -> bool {
-        match &self.pool {
+        match &self.run.shared.pool {
             Some(p) => p.wait_panics(n, timeout),
             None => n == 0,
         }
@@ -533,20 +464,24 @@ impl TrackerApp {
     /// growing once the pipeline reaches steady state.
     #[must_use]
     pub fn frame_pool_stats(&self) -> Option<PoolStats> {
-        self.frame_pool.as_ref().map(BufPool::stats)
+        self.run.shared.frame_pool.as_ref().map(BufPool::stats)
     }
 
     /// Mask-buffer pool traffic, when recycling is on.
     #[must_use]
     pub fn mask_pool_stats(&self) -> Option<PoolStats> {
-        self.mask_pool.as_ref().map(BufPool::stats)
+        self.run.shared.mask_pool.as_ref().map(BufPool::stats)
     }
 
     /// The shared worker pool's lifetime load counters
     /// `(submitted, executed)`, when a pool is attached.
     #[must_use]
     pub fn pool_load(&self) -> Option<(u64, u64)> {
-        self.pool.as_ref().map(|p| (p.submitted(), p.executed()))
+        self.run
+            .shared
+            .pool
+            .as_ref()
+            .map(|p| (p.submitted(), p.executed()))
     }
 
     /// Give "Back Projections" and "Frame" the configured capacity instead

@@ -71,6 +71,20 @@ impl Stage {
         }
     }
 
+    /// The stage's name: its task's name in
+    /// [`taskgraph::builders::color_tracker`], and its task body's.
+    #[must_use]
+    pub fn name(self) -> &'static str {
+        match self {
+            Stage::Digitizer => "Digitizer",
+            Stage::Histogram => "Histogram",
+            Stage::Change => "Change Detection",
+            Stage::Detect => "Target Detection",
+            Stage::Peak => "Peak Detection",
+            Stage::Face => "DECface Update",
+        }
+    }
+
     /// Display names of all stages in [`index`](Self::index) order — the
     /// `stage_names` every [`obs::Recorder`] for this pipeline should use.
     #[must_use]
@@ -97,15 +111,7 @@ impl Stage {
 
 impl fmt::Display for Stage {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        let s = match self {
-            Stage::Digitizer => "Digitizer",
-            Stage::Histogram => "Histogram",
-            Stage::Change => "Change Detection",
-            Stage::Detect => "Target Detection",
-            Stage::Peak => "Peak Detection",
-            Stage::Face => "DECface Update",
-        };
-        f.write_str(s)
+        f.write_str(self.name())
     }
 }
 

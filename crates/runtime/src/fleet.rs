@@ -33,7 +33,7 @@
 //!   boost flag set, which routes its pool jobs onto the urgent lane until
 //!   it catches up.
 //! - **Containment**: a faulting tenant degrades through its own
-//!   [`StageCtx`](crate::tasks::StageCtx) ladder and health ledger; other
+//!   degradation ladder and health ledger; other
 //!   tenants' outputs stay bit-identical to solo runs (the isolation tests
 //!   assert exactly that).
 //!
@@ -59,7 +59,7 @@ use taskgraph::{builders, AppState, TaskGraph, TaskId};
 use vision::{BitMask, Frame, Scene};
 
 use crate::app::{SharedResources, TrackerApp, TrackerConfig};
-use crate::error::HealthReport;
+use crate::error::{HealthReport, Stage};
 use crate::exec_online::OnlineExecutor;
 use crate::faults::FaultInjector;
 use crate::frame_pool::BufPool;
@@ -104,8 +104,7 @@ pub struct FleetConfig {
     /// Completed frames excluded from each tenant's statistics.
     pub warmup: usize,
     /// Per-tenant fault injection, indexed by tenant (missing/`None`
-    /// entries inject nothing). Faults ride the tenant's own
-    /// [`StageCtx`](crate::tasks::StageCtx)
+    /// entries inject nothing). Faults ride the tenant's own run context,
     /// so they perturb only that tenant.
     pub tenant_faults: Vec<Option<Arc<FaultInjector>>>,
     /// Regimes (model counts) every tenant's schedule table covers. Empty
@@ -394,7 +393,7 @@ impl FleetInner {
             )
         };
         let shared = SharedResources {
-            pool: Arc::clone(&self.pool),
+            pool: Some(Arc::clone(&self.pool)),
             frame_pool: self.frame_pool.clone(),
             mask_pool: self.mask_pool.clone(),
             boost: Arc::clone(&boost),
@@ -565,7 +564,7 @@ impl Fleet {
         let graph = builders::color_tracker();
         let cluster = ClusterSpec::single_node(4);
         let dp_task = graph
-            .task_by_name("Target Detection")
+            .task_by_name(Stage::Detect.name())
             .expect("tracker graph has T4"); // INVARIANT: the builder defines T4 by this name
 
         let regimes: Vec<u32> = if cfg.regimes.is_empty() {
@@ -912,7 +911,7 @@ impl FleetRun {
     pub fn observability(&self, tolerance: f64) -> Option<FleetObs> {
         let specs = self.regime_specs();
         let bound = specs.iter().map(|s| s.occupancy_bound).max().unwrap_or(1);
-        let stage_names = crate::error::Stage::names();
+        let stage_names = Stage::names();
         let mut chrome = ChromeTrace::new();
         let mut conformance = Vec::new();
         for t in &self.tenants {
@@ -984,7 +983,6 @@ pub fn run_fleet(cfg: &FleetConfig) -> FleetRun {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::error::Stage;
     use crate::faults::FaultPlan;
     use obs::TraceMode;
 

@@ -64,4 +64,4 @@ pub use record::{
     record_run, record_run_with_scene, replay_config, replay_run, RecordedRun, ReplayOutcome,
 };
 pub use regime_rt::{RegimeController, RegimeError, ReschedSwap};
-pub use tasks::{PoolJob, StageCtx, TaskBody};
+pub use tasks::{PoolJob, TaskBody};

@@ -1,22 +1,30 @@
 //! The tracker's task bodies: the five stages of Fig. 2 implemented over
 //! STM connections, executable by either executor.
 //!
+//! Every transform stage (T2–T5) has the shape of a Stampede task (§2): get
+//! the frame's inputs from STM channels, compute, put the output. One
+//! generic body, `Transform<K>`, runs that shape for all four; a stage
+//! contributes only its `Kernel` — what it fetches, what it computes, and
+//! how its input frontiers advance. The digitizer (no input) and the sink
+//! (no output) keep bodies of their own.
+//!
 //! Bodies take `&self` and are `Sync`: the paper observes that unlike a
 //! pthread, "we can execute the same thread operating on multiple
 //! processors concurrently as long as they operate on different frames of
 //! data" — so one body may have several in-flight timestamps. Garbage
-//! collection under that concurrency uses a [`SharedCursor`]: frontiers
+//! collection under that concurrency uses a shared cursor: frontiers
 //! advance only over the *contiguous prefix* of completed timestamps, so an
 //! in-flight older instance can never lose its inputs to a younger one.
 //!
 //! Every body is panic-free on the steady-state frame path. Each stage
-//! carries a [`StageCtx`] that routes STM faults, missed latency budgets,
-//! and injected faults into the degradation ladder of [`crate::error`]:
-//! the frame is dropped, the cursor commits, frontiers advance, and the
-//! stream keeps flowing. Only genuine end-of-stream stops a task.
+//! carries a `StageCtx` — its [`Stage`] plus the app's one run context —
+//! that routes STM faults, missed latency budgets, and injected faults into
+//! the degradation ladder of [`crate::error`]: the frame is dropped, the
+//! cursor commits, frontiers advance, and the stream keeps flowing. Only
+//! genuine end-of-stream stops a task.
 
 use std::collections::{BTreeSet, HashMap};
-use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
+use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
 use std::time::{Duration, Instant};
 
@@ -35,11 +43,12 @@ use vision::{
 };
 
 use crate::adapt::{AdaptLoop, CostFeed, ReschedJob};
+use crate::app::{SharedResources, TrackerConfig};
 use crate::error::{RuntimeError, RuntimeHealth, Stage};
 use crate::faults::FaultInjector;
-use crate::frame_pool::{BufPool, Pooled, PooledFrame, PooledMask};
+use crate::frame_pool::{Pooled, PooledFrame, PooledMask};
 use crate::measure::Measurements;
-use crate::pool::{PoolClosed, PriorityClass, WorkerPool};
+use crate::pool::{PoolClosed, WorkerPool};
 use crate::regime_rt::RegimeController;
 
 /// Signals that a task's stream is finished (channel closed or frame budget
@@ -51,164 +60,114 @@ pub struct Stop;
 /// stream), or exactly this frame is skipped and the stream continues (the
 /// drop-the-frame rung of the degradation ladder).
 #[derive(Clone, Copy, PartialEq, Eq, Debug)]
-enum FrameFault {
+pub(crate) enum FrameFault {
     Stop,
     Skip,
 }
 
-/// Per-stage runtime context: the stage's identity for fault attribution,
-/// the run's shared [`RuntimeHealth`] ledger, an optional per-frame latency
-/// budget (the deadline watchdog), an optional [`FaultInjector`], an
-/// optional span [`Recorder`], and an optional [`Measurements`] store for
-/// per-stage marks.
+/// Default per-frame latency budget when fault injection is on but no
+/// explicit deadline was configured: generous for test-sized frames, yet
+/// bounded, so an upstream drop cascades as clean deadline skips instead of
+/// deadlocking downstream stages.
+const DEFAULT_FAULT_DEADLINE: Duration = Duration::from_millis(400);
+
+/// The run-wide handles every stage of one app shares, built once per app:
+/// the health ledger, the measurement store, the deadline budget, the
+/// fault injector, the span recorder, the compute backend, the
+/// record/replay tap, the adaptation loop's cost feed, and the app's
+/// [`SharedResources`] (pool, freelists, boost/halt/shed flags, class).
+pub(crate) struct RunCtx {
+    pub(crate) health: Arc<RuntimeHealth>,
+    pub(crate) measure: Arc<Measurements>,
+    /// Bound on every input wait: a frame whose inputs miss it is skipped
+    /// instead of back-pressuring the whole pipeline.
+    deadline: Option<Duration>,
+    faults: Option<Arc<FaultInjector>>,
+    /// Every STM get/put, compute section, skip and commit of every stage
+    /// is reported into it.
+    pub(crate) recorder: Option<Recorder>,
+    /// The tier every stage's kernels dispatch through.
+    backend: &'static dyn ComputeBackend,
+    /// Record/replay tap: every nondeterministic event a stage settles
+    /// (digitized frame, skip, sink commit) is mirrored into it. The tap
+    /// rides the same funnel the recorder does, so the recording is exact
+    /// by construction — there is no second code path to drift.
+    tap: Option<Arc<replay::RecordTap>>,
+    /// The adaptation loop's per-stage cost feed: every compute section
+    /// reports its wall time into it.
+    feed: Option<Arc<CostFeed>>,
+    pub(crate) shared: SharedResources,
+}
+
+impl RunCtx {
+    /// The run context of an app configured by `cfg`, over `shared`.
+    pub(crate) fn new(
+        cfg: &TrackerConfig,
+        shared: SharedResources,
+        feed: Option<Arc<CostFeed>>,
+    ) -> Self {
+        let health = Arc::new(RuntimeHealth::default());
+        let measure = Arc::new(
+            Measurements::new(cfg.n_frames as usize)
+                .with_stages(Stage::ALL.len())
+                .with_health(Arc::clone(&health)),
+        );
+        RunCtx {
+            health,
+            measure,
+            // The deadline watchdog: explicit budget wins; injecting faults
+            // without one gets a bounded default so upstream drops cascade
+            // as recorded deadline skips instead of wedging downstream gets.
+            deadline: cfg
+                .frame_deadline
+                .or(cfg.faults.as_ref().map(|_| DEFAULT_FAULT_DEADLINE)),
+            faults: cfg.faults.clone(),
+            recorder: cfg.trace.map(|mode| Recorder::new(mode, Stage::names())),
+            backend: cfg.backend.get(),
+            tap: cfg.record.clone(),
+            feed,
+            shared,
+        }
+    }
+}
+
+/// One stage's view of the run: its identity, for fault attribution and
+/// span stage ids, and the app's [`RunCtx`].
 ///
 /// All STM traffic of a task body goes through [`StageCtx`] so the
 /// degradation policy lives in exactly one place: end-of-stream errors stop
 /// the task, everything else drops one frame and is recorded. The same
 /// funnel gives observability a single seam: every `get`/`put` emits a
 /// span, every skip an instant, with zero cost when tracing is off.
-#[derive(Clone)]
-pub struct StageCtx {
+pub(crate) struct StageCtx {
     stage: Stage,
-    health: Arc<RuntimeHealth>,
-    deadline: Option<Duration>,
-    faults: Option<Arc<FaultInjector>>,
-    recorder: Option<Recorder>,
-    measure: Option<Arc<Measurements>>,
-    feed: Option<Arc<CostFeed>>,
-    backend: &'static dyn ComputeBackend,
-    /// When set (by the fleet monitor for a tenant behind on its deadline
-    /// budget), this stage's pool jobs ride the urgent lane.
-    boost: Option<Arc<AtomicBool>>,
-    /// The tenant's standing priority class: picks the pool lane whenever
-    /// the boost flag is not overriding it.
-    class: PriorityClass,
-    /// Record/replay tap: every nondeterministic event this stage settles
-    /// (digitized frame, skip, sink commit) is mirrored into it. The tap
-    /// rides the same funnel the recorder does, so the recording is exact
-    /// by construction — there is no second code path to drift.
-    tap: Option<Arc<replay::RecordTap>>,
+    run: Arc<RunCtx>,
 }
 
 impl StageCtx {
-    /// A context for `stage` with a private health ledger, no deadline, and
-    /// no fault injection — the default every task starts with.
-    #[must_use]
-    pub fn new(stage: Stage) -> Self {
+    /// Stage `stage`'s context in the run `run`.
+    pub(crate) fn new(stage: Stage, run: &Arc<RunCtx>) -> Self {
         StageCtx {
             stage,
-            health: Arc::new(RuntimeHealth::default()),
-            deadline: None,
-            faults: None,
-            recorder: None,
-            measure: None,
-            feed: None,
-            backend: vision::active(),
-            boost: None,
-            class: PriorityClass::default(),
-            tap: None,
+            run: Arc::clone(run),
         }
     }
 
-    /// Attach a record/replay tap; every skip this stage settles (and, for
-    /// the digitizer and sink, every frame and commit) is recorded into it.
-    #[must_use]
-    pub fn with_tap(mut self, tap: Arc<replay::RecordTap>) -> Self {
-        self.tap = Some(tap);
-        self
-    }
-
-    /// Share the run-wide health ledger.
-    #[must_use]
-    pub fn with_health(mut self, health: Arc<RuntimeHealth>) -> Self {
-        self.health = health;
-        self
-    }
-
-    /// Bound every input wait by `deadline`; a frame whose inputs miss the
-    /// budget is skipped instead of back-pressuring the whole pipeline.
-    #[must_use]
-    pub fn with_deadline(mut self, deadline: Duration) -> Self {
-        self.deadline = Some(deadline);
-        self
-    }
-
-    /// Attach a deterministic fault injector.
-    #[must_use]
-    pub fn with_faults(mut self, faults: Arc<FaultInjector>) -> Self {
-        self.faults = Some(faults);
-        self
-    }
-
-    /// Attach a span recorder; every STM get/put, compute section, skip,
-    /// and commit of this stage is reported into it.
-    #[must_use]
-    pub fn with_recorder(mut self, recorder: Recorder) -> Self {
-        self.recorder = Some(recorder);
-        self
-    }
-
-    /// Attach a measurement store for per-stage completion marks.
-    #[must_use]
-    pub fn with_measure(mut self, measure: Arc<Measurements>) -> Self {
-        self.measure = Some(measure);
-        self
-    }
-
-    /// Attach the adaptation loop's per-stage cost feed; every compute
-    /// section reports its wall time into it.
-    #[must_use]
-    pub fn with_cost_feed(mut self, feed: Arc<CostFeed>) -> Self {
-        self.feed = Some(feed);
-        self
-    }
-
-    /// Select the compute backend this stage's kernels dispatch through.
-    /// Defaults to [`vision::active`] (the fastest tier the host supports,
-    /// overridable via `CDS_BACKEND`).
-    #[must_use]
-    pub fn with_backend(mut self, backend: &'static dyn ComputeBackend) -> Self {
-        self.backend = backend;
-        self
-    }
-
     /// The compute backend this stage's kernels dispatch through.
-    #[must_use]
-    pub fn backend(&self) -> &'static dyn ComputeBackend {
-        self.backend
-    }
-
-    /// Attach a weighted-fairness boost flag: while it reads `true`, this
-    /// stage's pool jobs are submitted to the urgent lane. A fleet sets one
-    /// flag per tenant and flips it from the monitor thread when that tenant
-    /// falls behind its frame-deadline budget.
-    #[must_use]
-    pub fn with_boost(mut self, boost: Arc<AtomicBool>) -> Self {
-        self.boost = Some(boost);
-        self
-    }
-
-    /// Set the tenant's standing [`PriorityClass`]; the fleet assigns it at
-    /// admission and every pool job of this stage rides that class's lane.
-    #[must_use]
-    pub fn with_class(mut self, class: PriorityClass) -> Self {
-        self.class = class;
-        self
+    fn backend(&self) -> &'static dyn ComputeBackend {
+        self.run.backend
     }
 
     /// Submit `job` to `pool`, choosing the lane from the boost flag (which
     /// outranks the class) or the standing priority class, and run it
     /// inline when the pool is closed (shutdown race: correctness over
     /// parallelism).
-    pub fn submit_or_run(&self, pool: &WorkerPool<PoolJob>, job: PoolJob) {
-        let urgent = self
-            .boost
-            .as_ref()
-            .is_some_and(|b| b.load(Ordering::Relaxed));
-        let res = if urgent {
+    fn submit_or_run(&self, pool: &WorkerPool<PoolJob>, job: PoolJob) {
+        let shared = &self.run.shared;
+        let res = if shared.boost.load(Ordering::Relaxed) {
             pool.submit_urgent(job)
         } else {
-            pool.submit_class(job, self.class)
+            pool.submit_class(job, shared.class)
         };
         if let Err(PoolClosed(job)) = res {
             job.run(); // pool unavailable: compute inline
@@ -216,23 +175,22 @@ impl StageCtx {
     }
 
     /// The shared health ledger.
-    #[must_use]
-    pub fn health(&self) -> &Arc<RuntimeHealth> {
-        &self.health
+    fn health(&self) -> &Arc<RuntimeHealth> {
+        &self.run.health
     }
 
-    /// A clone of the attached recorder, when one is attached and actually
+    /// A clone of the run's recorder, when one is attached and actually
     /// keeping spans — pool jobs carry this to record chunk spans on worker
     /// threads.
-    #[must_use]
-    pub fn recorder(&self) -> Option<Recorder> {
-        self.recorder.as_ref().filter(|r| r.enabled()).cloned()
+    fn recorder(&self) -> Option<Recorder> {
+        self.run.recorder.as_ref().filter(|r| r.enabled()).cloned()
     }
 
     /// Epoch-relative clock read for span endpoints; `None` when tracing is
     /// off, so callers skip span bookkeeping entirely.
     fn rec_now(&self) -> Option<u64> {
-        self.recorder
+        self.run
+            .recorder
             .as_ref()
             .filter(|r| r.enabled())
             .map(Recorder::now_ns)
@@ -241,7 +199,7 @@ impl StageCtx {
     /// Record a duration span from `t0` (a [`rec_now`](Self::rec_now) read)
     /// to now. A `None` start is tracing-off: nothing recorded.
     fn rec_span(&self, kind: SpanKind, ts: u64, chunk: Option<(u16, u16)>, t0: Option<u64>) {
-        if let (Some(r), Some(t0)) = (&self.recorder, t0) {
+        if let (Some(r), Some(t0)) = (&self.run.recorder, t0) {
             let now = r.now_ns();
             r.span(kind, self.stage.index(), ts, chunk, t0, now);
         }
@@ -250,7 +208,7 @@ impl StageCtx {
     /// Record an instantaneous event stamped now (no-op when tracing is
     /// off).
     fn rec_instant(&self, kind: SpanKind, ts: u64, chunk: Option<(u16, u16)>) {
-        if let Some(r) = self.recorder.as_ref().filter(|r| r.enabled()) {
+        if let Some(r) = self.run.recorder.as_ref().filter(|r| r.enabled()) {
             r.instant(kind, self.stage.index(), ts, chunk);
         }
     }
@@ -260,14 +218,14 @@ impl StageCtx {
     /// ladder, so the recording captures the *complete* set of `(stage,
     /// frame)` coordinates replay must re-inject.
     fn tap_skip(&self, ts: u64) {
-        if let Some(t) = &self.tap {
+        if let Some(t) = &self.run.tap {
             t.record_skip(self.stage.index(), ts);
         }
     }
 
     /// Record one digitized frame's pixels into the tap (digitizer only).
     fn tap_frame(&self, ts: u64, frame: &Frame) {
-        if let Some(t) = &self.tap {
+        if let Some(t) = &self.run.tap {
             t.record_frame(ts, frame);
         }
     }
@@ -275,22 +233,20 @@ impl StageCtx {
     /// Record a sink commit — the frame, its detected count, and the
     /// content hash of its model locations — into the tap (sink only).
     fn tap_commit(&self, ts: u64, count: u32, locs: &[ModelLocation]) {
-        if let Some(t) = &self.tap {
+        if let Some(t) = &self.run.tap {
             t.record_commit(ts, count, replay::location_hash(locs));
         }
     }
 
     /// Record that this stage finished its work on frame `ts` into the
-    /// attached measurement store's per-stage marks.
+    /// run's per-stage marks.
     fn mark_stage(&self, ts: u64) {
-        if let Some(m) = &self.measure {
-            m.mark_stage(self.stage.index() as usize, ts);
-        }
+        self.run.measure.mark_stage(self.stage.index() as usize, ts);
     }
 
     /// Frame entry hook: applies any injected straggler delay.
     fn begin(&self, ts: Timestamp) {
-        if let Some(f) = &self.faults {
+        if let Some(f) = &self.run.faults {
             f.delay(self.stage, ts.0);
         }
     }
@@ -303,12 +259,12 @@ impl StageCtx {
         let t0 = self.rec_now();
         // Clock first, sleep second: the injected slowdown models the stage
         // genuinely getting slower, so the feed must measure it.
-        let c0 = self.feed.as_ref().map(|_| Instant::now());
-        if let Some(f) = &self.faults {
+        let c0 = self.run.feed.as_ref().map(|_| Instant::now());
+        if let Some(f) = &self.run.faults {
             f.compute_slow(self.stage, ts.0);
         }
         let out = work();
-        if let (Some(feed), Some(c0)) = (&self.feed, c0) {
+        if let (Some(feed), Some(c0)) = (&self.run.feed, c0) {
             let ns = u64::try_from(c0.elapsed().as_nanos()).unwrap_or(u64::MAX);
             feed.record(self.stage.index() as usize, ns);
         }
@@ -318,7 +274,7 @@ impl StageCtx {
 
     /// The falsified regime observation for `ts`, if one is injected.
     fn misread(&self, ts: u64) -> Option<u32> {
-        self.faults.as_ref().and_then(|f| f.misread(ts))
+        self.run.faults.as_ref().and_then(|f| f.misread(ts))
     }
 
     /// One STM `get` under the degradation policy. End-of-stream errors map
@@ -328,7 +284,7 @@ impl StageCtx {
     /// `panic!("unexpected STM error …")` on the live path.
     fn get<T>(&self, conn: &InputConn<T>, ts: Timestamp) -> Result<GetOk<T>, FrameFault> {
         let t0 = self.rec_now();
-        let res = match self.deadline {
+        let res = match self.run.deadline {
             Some(d) => conn.get_timeout(TsSpec::Exact(ts), d),
             None => conn.get(TsSpec::Exact(ts)),
         };
@@ -339,11 +295,12 @@ impl StageCtx {
             // costs exactly one frame here — never a put rejection upstream.
             Ok(_)
                 if self
+                    .run
                     .faults
                     .as_ref()
                     .is_some_and(|f| f.stm_error(self.stage, ts.0)) =>
             {
-                self.health.record(RuntimeError::StmGet {
+                self.health().record(RuntimeError::StmGet {
                     stage: self.stage,
                     ts: ts.0,
                     err: GetError::Unsatisfiable(MissReason::AlreadyConsumed),
@@ -365,7 +322,7 @@ impl StageCtx {
             // budget burned); both are accounted as deadline skips so fault
             // arithmetic is identical whichever signal arrives first.
             Err(GetError::Timeout | GetError::Unsatisfiable(MissReason::Skipped)) => {
-                self.health.record(RuntimeError::DeadlineExceeded {
+                self.health().record(RuntimeError::DeadlineExceeded {
                     stage: self.stage,
                     ts: ts.0,
                 });
@@ -374,7 +331,7 @@ impl StageCtx {
                 Err(FrameFault::Skip)
             }
             Err(e) => {
-                self.health.record(RuntimeError::StmGet {
+                self.health().record(RuntimeError::StmGet {
                     stage: self.stage,
                     ts: ts.0,
                     err: e,
@@ -393,7 +350,7 @@ impl StageCtx {
     /// Whatever the outcome, the frame itself is already being skipped by
     /// the caller.
     fn await_settled<T>(&self, conn: &InputConn<T>, ts: Timestamp, since: Instant) {
-        let _ = match self.deadline {
+        let _ = match self.run.deadline {
             Some(d) => match d.checked_sub(since.elapsed()) {
                 Some(left) if !left.is_zero() => conn.get_timeout(TsSpec::Exact(ts), left),
                 _ => return,
@@ -414,7 +371,7 @@ impl StageCtx {
             }
             Err(PutError::Closed) => Err(FrameFault::Stop),
             Err(e) => {
-                self.health.record(RuntimeError::StmPut {
+                self.health().record(RuntimeError::StmPut {
                     stage: self.stage,
                     ts: ts.0,
                     err: e,
@@ -440,7 +397,7 @@ pub trait TaskBody: Send + Sync {
 /// Tracks the contiguous prefix of completed timestamps across concurrent
 /// instances of one task.
 #[derive(Debug, Default)]
-pub struct SharedCursor {
+pub(crate) struct SharedCursor {
     inner: Mutex<CursorInner>,
 }
 
@@ -474,7 +431,7 @@ impl SharedCursor {
 /// Assumes contiguous upstream streams (frame `c` missing ⇒ nothing above
 /// `c` exists), which the digitizer guarantees.
 #[derive(Debug, Default)]
-pub struct CloseGate {
+pub(crate) struct CloseGate {
     closed_at: Mutex<Option<u64>>,
 }
 
@@ -554,40 +511,111 @@ impl<T> StageOut<T> {
     }
 }
 
+/// What one transform stage (T2–T5) does with a frame; [`Transform`] runs
+/// it through the stage's context and output.
+pub(crate) trait Kernel: Send + Sync {
+    /// A whole frame's inputs, as fetched.
+    type In;
+    /// What a fetch that failed part-way had already taken.
+    type Partial;
+    /// The value the stage puts.
+    type Out: Send + Sync;
+
+    /// Get frame `ts`'s inputs. A fetch that fails after taking an input
+    /// returns it beside the fault, so that it, too, is dropped only after
+    /// the frontiers advance.
+    fn fetch(&self, ctx: &StageCtx, ts: Timestamp)
+        -> Result<Self::In, (FrameFault, Self::Partial)>;
+
+    /// Frame `ts`'s output.
+    fn compute(&self, ctx: &StageCtx, ts: Timestamp, input: &Self::In) -> Self::Out;
+
+    /// Move the input frontiers to `prefix`, the contiguous prefix of
+    /// settled frames.
+    fn advance(&self, prefix: Timestamp);
+
+    /// Chunk `(index, count)` of frame `ts` under an explicit schedule,
+    /// given this instance's fetch: `None` while other chunks of the frame
+    /// are outstanding, the frame's result from the chunk that completes
+    /// it. Only a data-parallel kernel is placed in chunks; any other
+    /// computes the whole frame.
+    fn compute_chunk(
+        &self,
+        ctx: &StageCtx,
+        ts: Timestamp,
+        _chunk: (u32, u32),
+        input: Result<&Self::In, FrameFault>,
+    ) -> Option<Result<Self::Out, FrameFault>> {
+        Some(input.map(|i| ctx.compute(ts, || self.compute(ctx, ts, i))))
+    }
+}
+
+/// The one body of T2–T5: begin the frame, fetch its inputs, compute,
+/// settle through the output.
+pub(crate) struct Transform<K: Kernel> {
+    kernel: K,
+    out: StageOut<K::Out>,
+    ctx: StageCtx,
+}
+
+impl<K: Kernel> Transform<K> {
+    /// Run `kernel` under `ctx`, producing into `out_chan`.
+    pub(crate) fn new(kernel: K, out_chan: Channel<K::Out>, ctx: StageCtx) -> Self {
+        Transform {
+            kernel,
+            out: StageOut::new(out_chan),
+            ctx,
+        }
+    }
+}
+
+impl<K: Kernel> TaskBody for Transform<K> {
+    fn name(&self) -> &str {
+        self.ctx.stage.name()
+    }
+
+    fn process(&self, ts: Timestamp, chunk: Option<(u32, u32)>) -> Result<(), Stop> {
+        let ctx = &self.ctx;
+        ctx.begin(ts);
+        let fetched = self.kernel.fetch(ctx, ts);
+        let input = fetched.as_ref().map_err(|&(fault, _)| fault);
+        let result = match chunk {
+            None => input.map(|i| ctx.compute(ts, || self.kernel.compute(ctx, ts, i))),
+            Some(chunk) => match self.kernel.compute_chunk(ctx, ts, chunk, input) {
+                Some(result) => result,
+                // Another instance completes the frame and settles it.
+                None => return Ok(()),
+            },
+        };
+        self.out.settle(ctx, ts, result, fetched, |prefix| {
+            self.kernel.advance(prefix)
+        })
+    }
+}
+
 // ---------------------------------------------------------------------
 // T1 — Digitizer
 // ---------------------------------------------------------------------
 
 /// T1: renders synthetic frames at a fixed period (the NTSC camera
 /// stand-in). The period is the hand-tuning knob of §3.1.
-pub struct DigitizerTask {
+pub(crate) struct DigitizerTask {
     scene: vision::Scene,
     out: OutputConn<PooledFrame>,
     out_chan: Channel<PooledFrame>,
     period: Duration,
     n_frames: u64,
     epoch: Mutex<Option<Instant>>,
-    measure: Arc<Measurements>,
     ctx: StageCtx,
-    /// Recycled frame buffers; `render_into` overwrites every pixel, so a
-    /// dirty buffer produces bit-identical frames.
-    frame_pool: Option<BufPool<Frame>>,
     /// Tracks finished instances so the stream closes only after every
     /// frame below `n_frames` has actually been put — concurrent instances
     /// (masters running ahead under rotation) must not cut earlier frames
     /// off.
     cursor: SharedCursor,
-    /// Lifecycle drain flag: when the fleet detaches this tenant the flag
-    /// flips, the digitizer stops producing at the next frame boundary, and
-    /// the frames already in flight drain through the pipeline normally.
-    halt: Option<Arc<AtomicBool>>,
-    /// First frame index at which the halt flag was observed: the effective
-    /// end of stream once a detach lands (`u64::MAX` = never halted).
+    /// First frame index at which the run's halt flag was observed: the
+    /// effective end of stream once a detach lands (`u64::MAX` = never
+    /// halted).
     halt_at: AtomicU64,
-    /// Shed flag: while it reads `true` (fleet pressure on a BestEffort
-    /// tenant), frames are skip-committed instead of rendered — the tenant
-    /// degrades itself rather than inflating the neighbors' p99.
-    shed: Option<Arc<AtomicBool>>,
     /// Replay source: when set, the digitizer plays back recorded pixels
     /// instead of rendering, skips the frames the recorded digitizer
     /// skipped, and runs unpaced (virtual time) — the replay side of
@@ -597,13 +625,12 @@ pub struct DigitizerTask {
 
 impl DigitizerTask {
     /// Create the digitizer, producing into `out_chan` under `ctx`.
-    #[must_use]
-    pub fn new(
+    pub(crate) fn new(
         scene: vision::Scene,
         out_chan: Channel<PooledFrame>,
         period: Duration,
         n_frames: u64,
-        measure: Arc<Measurements>,
+        source: Option<Arc<replay::ReplaySource>>,
         ctx: StageCtx,
     ) -> Self {
         DigitizerTask {
@@ -613,49 +640,11 @@ impl DigitizerTask {
             period,
             n_frames,
             epoch: Mutex::new(None),
-            measure,
             ctx,
-            frame_pool: None,
             cursor: SharedCursor::default(),
-            halt: None,
             halt_at: AtomicU64::new(u64::MAX),
-            shed: None,
-            source: None,
+            source,
         }
-    }
-
-    /// Replay from `source` instead of rendering: recorded pixels are
-    /// played back unpaced and the recorded digitizer skips re-marked.
-    #[must_use]
-    pub fn with_source(mut self, source: Arc<replay::ReplaySource>) -> Self {
-        self.source = Some(source);
-        self
-    }
-
-    /// Render into recycled buffers from `pool` instead of allocating a
-    /// fresh frame each period.
-    #[must_use]
-    pub fn with_frame_pool(mut self, pool: BufPool<Frame>) -> Self {
-        self.frame_pool = Some(pool);
-        self
-    }
-
-    /// Attach a lifecycle drain flag: once it reads `true`, the digitizer
-    /// stops producing at the next frame boundary and the stream closes
-    /// after the frames already put have drained downstream — the
-    /// detach-side of the fleet's tenant lifecycle.
-    #[must_use]
-    pub fn with_halt(mut self, halt: Arc<AtomicBool>) -> Self {
-        self.halt = Some(halt);
-        self
-    }
-
-    /// Attach a shed flag: while it reads `true`, frames are
-    /// skip-committed (recorded as load sheds) instead of rendered.
-    #[must_use]
-    pub fn with_shed(mut self, shed: Arc<AtomicBool>) -> Self {
-        self.shed = Some(shed);
-        self
     }
 
     /// The effective end of stream: `n_frames`, or the first frame at which
@@ -679,15 +668,12 @@ impl DigitizerTask {
 
 impl TaskBody for DigitizerTask {
     fn name(&self) -> &str {
-        "Digitizer"
+        self.ctx.stage.name()
     }
 
     fn process(&self, ts: Timestamp, _chunk: Option<(u32, u32)>) -> Result<(), Stop> {
-        if self
-            .halt
-            .as_ref()
-            .is_some_and(|h| h.load(Ordering::Relaxed))
-        {
+        let run = &self.ctx.run;
+        if run.shared.halt.load(Ordering::Relaxed) {
             // A detach landed: pin the effective end of stream to the first
             // frame that observed it. Frames below it are already put (or
             // in flight) and drain normally; this and later frames stop.
@@ -708,11 +694,7 @@ impl TaskBody for DigitizerTask {
                 std::thread::sleep(target - now);
             }
         }
-        if self
-            .shed
-            .as_ref()
-            .is_some_and(|s| s.load(Ordering::Relaxed))
-        {
+        if run.shared.shed.load(Ordering::Relaxed) {
             // Shed policy: skip-commit without rendering. The skip mark
             // cascades downstream instantly (no deadline budget burned) and
             // the tally is a policy counter, not a fault.
@@ -726,8 +708,8 @@ impl TaskBody for DigitizerTask {
             if self.period < SHED_PACE_FLOOR {
                 std::thread::sleep(SHED_PACE_FLOOR - self.period);
             }
-            self.ctx.health().record_load_shed();
-            self.measure.mark_shed(ts.0);
+            run.health.record_load_shed();
+            run.measure.mark_shed(ts.0);
             self.ctx.rec_instant(SpanKind::Skip, ts.0, None);
             self.ctx.tap_skip(ts.0);
             self.out.mark_skipped(ts);
@@ -735,7 +717,9 @@ impl TaskBody for DigitizerTask {
             return Ok(());
         }
         let rendered = self.ctx.compute(ts, || {
-            let mut buf = match &self.frame_pool {
+            // `render_into` and `play_into` overwrite every pixel, so a
+            // recycled buffer produces bit-identical frames.
+            let mut buf = match &run.shared.frame_pool {
                 Some(pool) => pool.take_or(|| Frame::new(self.scene.width, self.scene.height)),
                 None => Pooled::unpooled(Frame::new(self.scene.width, self.scene.height)),
             };
@@ -764,7 +748,7 @@ impl TaskBody for DigitizerTask {
         self.ctx.tap_frame(ts.0, &frame);
         match self.ctx.put(&self.out, ts, frame) {
             Ok(()) => {
-                self.measure.mark_digitized(ts.0);
+                run.measure.mark_digitized(ts.0);
                 self.ctx.rec_instant(SpanKind::Digitize, ts.0, None);
                 self.ctx.mark_stage(ts.0);
                 self.commit_and_maybe_close(ts.0);
@@ -787,43 +771,28 @@ impl TaskBody for DigitizerTask {
 // T2 — Histogram
 // ---------------------------------------------------------------------
 
-/// T2: whole-image color histogram → "Color Model" channel. Always serial:
-/// T4 is the graph's only data-parallel task, and a whole-frame histogram
-/// costs less than one worker-pool round trip.
-pub struct HistogramTask {
-    input: InputConn<PooledFrame>,
-    out: StageOut<ColorHist>,
-    ctx: StageCtx,
+/// T2: whole-image color histogram → "Color Model". Always serial: T4 is
+/// the graph's only data-parallel task, and a whole-frame histogram costs
+/// less than one worker-pool round trip.
+pub(crate) struct Histogram {
+    pub(crate) input: InputConn<PooledFrame>,
 }
 
-impl HistogramTask {
-    /// Create the histogram task, producing into `out_chan` under `ctx`.
-    #[must_use]
-    pub fn new(input: InputConn<PooledFrame>, out_chan: Channel<ColorHist>, ctx: StageCtx) -> Self {
-        HistogramTask {
-            input,
-            out: StageOut::new(out_chan),
-            ctx,
-        }
-    }
-}
+impl Kernel for Histogram {
+    type In = GetOk<PooledFrame>;
+    type Partial = ();
+    type Out = ColorHist;
 
-impl TaskBody for HistogramTask {
-    fn name(&self) -> &str {
-        "Histogram"
+    fn fetch(&self, ctx: &StageCtx, ts: Timestamp) -> Result<Self::In, (FrameFault, ())> {
+        ctx.get(&self.input, ts).map_err(|fault| (fault, ()))
     }
 
-    fn process(&self, ts: Timestamp, _chunk: Option<(u32, u32)>) -> Result<(), Stop> {
-        self.ctx.begin(ts);
-        let advance = |prefix| self.input.advance_frontier(prefix);
-        let frame = match self.ctx.get(&self.input, ts) {
-            Ok(f) => f,
-            Err(fault) => return self.out.settle(&self.ctx, ts, Err(fault), (), advance),
-        };
-        let hist = self
-            .ctx
-            .compute(ts, || self.ctx.backend().image_histogram(&frame.value));
-        self.out.settle(&self.ctx, ts, Ok(hist), frame, advance)
+    fn compute(&self, ctx: &StageCtx, _ts: Timestamp, frame: &Self::In) -> ColorHist {
+        ctx.backend().image_histogram(&frame.value)
+    }
+
+    fn advance(&self, prefix: Timestamp) {
+        self.input.advance_frontier(prefix);
     }
 }
 
@@ -833,86 +802,50 @@ impl TaskBody for HistogramTask {
 
 /// T3: frame differencing against timestamp `ts − 1`, read from the same
 /// STM channel — no private state, so instances at different timestamps can
-/// run concurrently. Its frontier trails one frame behind its commit
-/// prefix, since instance `ts` reads frame `ts − 1`.
-pub struct ChangeTask {
-    input: InputConn<PooledFrame>,
-    out: StageOut<PooledMask>,
-    threshold: u16,
-    /// Recycled mask buffers; `change_detection_into` writes every word, so
-    /// a dirty buffer produces bit-identical masks.
-    mask_pool: Option<BufPool<BitMask>>,
-    ctx: StageCtx,
+/// run concurrently.
+pub(crate) struct Change {
+    pub(crate) input: InputConn<PooledFrame>,
+    pub(crate) threshold: u16,
 }
 
-impl ChangeTask {
-    /// Create the change-detection task, producing into `out_chan` under
-    /// `ctx`.
-    #[must_use]
-    pub fn new(
-        input: InputConn<PooledFrame>,
-        out_chan: Channel<PooledMask>,
-        threshold: u16,
-        ctx: StageCtx,
-    ) -> Self {
-        ChangeTask {
-            input,
-            out: StageOut::new(out_chan),
-            threshold,
-            mask_pool: None,
-            ctx,
+impl Kernel for Change {
+    type In = (GetOk<PooledFrame>, Option<GetOk<PooledFrame>>);
+    type Partial = Option<GetOk<PooledFrame>>;
+    type Out = PooledMask;
+
+    fn fetch(
+        &self,
+        ctx: &StageCtx,
+        ts: Timestamp,
+    ) -> Result<Self::In, (FrameFault, Self::Partial)> {
+        let cur = ctx.get(&self.input, ts).map_err(|fault| (fault, None))?;
+        let Some(p) = ts.prev() else {
+            return Ok((cur, None));
+        };
+        match ctx.get(&self.input, p) {
+            Ok(prev) => Ok((cur, Some(prev))),
+            Err(fault) => Err((fault, Some(cur))),
         }
     }
 
-    /// Write masks into recycled buffers from `pool` instead of allocating
-    /// a fresh mask each frame.
-    #[must_use]
-    pub fn with_mask_pool(mut self, pool: BufPool<BitMask>) -> Self {
-        self.mask_pool = Some(pool);
-        self
+    fn compute(&self, ctx: &StageCtx, _ts: Timestamp, (cur, prev): &Self::In) -> PooledMask {
+        let frame: &Frame = &cur.value;
+        // `change_detection_into` writes every word, so a recycled buffer
+        // produces bit-identical masks.
+        let mut mask = match &ctx.run.shared.mask_pool {
+            Some(pool) => pool.take_or(|| BitMask::new(frame.width, frame.height)),
+            None => Pooled::unpooled(BitMask::new(frame.width, frame.height)),
+        };
+        let prev = prev.as_ref().map(|g| &**g.value);
+        ctx.backend()
+            .change_detection_into(frame, prev, self.threshold, &mut mask);
+        mask
     }
-}
 
-impl TaskBody for ChangeTask {
-    fn name(&self) -> &str {
-        "Change Detection"
-    }
-
-    fn process(&self, ts: Timestamp, _chunk: Option<(u32, u32)>) -> Result<(), Stop> {
-        self.ctx.begin(ts);
-        // Instance `ts` reads frame `ts − 1`: the frontier trails the prefix.
-        let advance = |prefix: Timestamp| {
-            self.input
-                .advance_frontier(Timestamp(prefix.0.saturating_sub(1)));
-        };
-        let cur = match self.ctx.get(&self.input, ts) {
-            Ok(c) => c,
-            Err(fault) => return self.out.settle(&self.ctx, ts, Err(fault), (), advance),
-        };
-        let prev = match ts.prev() {
-            Some(p) => match self.ctx.get(&self.input, p) {
-                Ok(g) => Some(g),
-                Err(fault) => return self.out.settle(&self.ctx, ts, Err(fault), cur, advance),
-            },
-            None => None,
-        };
-        let mask = self.ctx.compute(ts, || {
-            let frame: &Frame = &cur.value;
-            let prev_frame: Option<&Frame> = prev.as_ref().map(|g| &**g.value);
-            let backend = self.ctx.backend();
-            match &self.mask_pool {
-                Some(pool) => {
-                    let mut buf = pool.take_or(|| BitMask::new(frame.width, frame.height));
-                    backend.change_detection_into(frame, prev_frame, self.threshold, &mut buf);
-                    buf
-                }
-                None => {
-                    Pooled::unpooled(backend.change_detection(frame, prev_frame, self.threshold))
-                }
-            }
-        });
-        self.out
-            .settle(&self.ctx, ts, Ok(mask), (cur, prev), advance)
+    /// Instance `ts` reads frame `ts − 1`: the frontier trails the prefix.
+    fn advance(&self, prefix: Timestamp) {
+        self.input
+            .advance_frontier(Timestamp(prefix.0.saturating_sub(1)));
     }
 }
 
@@ -921,7 +854,7 @@ impl TaskBody for ChangeTask {
 // ---------------------------------------------------------------------
 
 /// The three per-frame inputs of target detection.
-pub type DetectInputs = (Arc<PooledFrame>, Arc<ColorHist>, Arc<PooledMask>);
+pub(crate) type DetectInputs = (Arc<PooledFrame>, Arc<ColorHist>, Arc<PooledMask>);
 
 /// One unit of work farmed to the worker pool in online mode.
 pub struct ChunkJob {
@@ -990,7 +923,7 @@ impl PoolJob {
 
 /// Join state for one timestamp in scheduled-chunk mode.
 #[derive(Default)]
-struct PendingJoin {
+pub(crate) struct PendingJoin {
     arrived: u32,
     /// Some chunk instance faulted: the frame is skip-committed at join
     /// time instead of published.
@@ -999,71 +932,27 @@ struct PendingJoin {
 }
 
 /// T4: Swain–Ballard target detection with regime-dependent decomposition.
-pub struct DetectTask {
-    in_frames: InputConn<PooledFrame>,
-    in_hist: InputConn<ColorHist>,
-    in_mask: InputConn<PooledMask>,
-    out: StageOut<Vec<ScoreMap>>,
-    models: Arc<Vec<ColorHist>>,
-    width: usize,
-    height: usize,
+pub(crate) struct Detect {
+    pub(crate) in_frames: InputConn<PooledFrame>,
+    pub(crate) in_hist: InputConn<ColorHist>,
+    pub(crate) in_mask: InputConn<PooledMask>,
+    pub(crate) models: Arc<Vec<ColorHist>>,
+    pub(crate) width: usize,
+    pub(crate) height: usize,
     /// Decomposition when no controller is attached (FP, MP).
-    fixed_decomp: (u32, u32),
+    pub(crate) fixed_decomp: (u32, u32),
     /// Regime controller: "the splitter will look-up the decomposition for
     /// the current state from a pre-computed table" (Fig. 9 discussion).
-    controller: Option<Arc<RegimeController>>,
-    /// Worker pool for intra-task parallelism in online mode.
-    pool: Option<Arc<WorkerPool<PoolJob>>>,
-    ctx: StageCtx,
+    pub(crate) controller: Option<Arc<RegimeController>>,
     /// Per-timestamp join state in scheduled-chunk mode.
-    pending: Mutex<HashMap<u64, PendingJoin>>,
+    pub(crate) pending: Mutex<HashMap<u64, PendingJoin>>,
 }
 
-impl DetectTask {
-    /// Create the detection task, producing into `out_chan` under `ctx`.
-    #[must_use]
-    #[allow(clippy::too_many_arguments)]
-    pub fn new(
-        in_frames: InputConn<PooledFrame>,
-        in_hist: InputConn<ColorHist>,
-        in_mask: InputConn<PooledMask>,
-        out_chan: Channel<Vec<ScoreMap>>,
-        models: Vec<ColorHist>,
-        width: usize,
-        height: usize,
-        fixed_decomp: (u32, u32),
-        ctx: StageCtx,
-    ) -> Self {
-        DetectTask {
-            in_frames,
-            in_hist,
-            in_mask,
-            out: StageOut::new(out_chan),
-            models: Arc::new(models),
-            width,
-            height,
-            fixed_decomp,
-            controller: None,
-            pool: None,
-            ctx,
-            pending: Mutex::new(HashMap::new()),
-        }
-    }
+/// What T4's fetch holds when it fails part-way: the frame, and the color
+/// model if it got that far.
+type DetectPartial = (Option<Arc<PooledFrame>>, Option<Arc<ColorHist>>);
 
-    /// Attach a regime controller (online dynamic decomposition).
-    #[must_use]
-    pub fn with_controller(mut self, c: Arc<RegimeController>) -> Self {
-        self.controller = Some(c);
-        self
-    }
-
-    /// Attach a worker pool (online intra-task data parallelism).
-    #[must_use]
-    pub fn with_pool(mut self, pool: Arc<WorkerPool<PoolJob>>) -> Self {
-        self.pool = Some(pool);
-        self
-    }
-
+impl Detect {
     fn current_decomp(&self) -> (u32, u32) {
         match &self.controller {
             Some(c) => c.current_decomp(),
@@ -1071,10 +960,49 @@ impl DetectTask {
         }
     }
 
-    fn inputs(&self, ts: Timestamp) -> Result<DetectInputs, FrameFault> {
+    fn chunks(&self, (fp, mp): (u32, u32)) -> Vec<DetectChunk> {
+        detect_chunks(
+            self.width,
+            self.height,
+            self.models.len(),
+            fp as usize,
+            mp as usize,
+        )
+    }
+
+    fn fetch_all(
+        &self,
+        ctx: &StageCtx,
+        ts: Timestamp,
+    ) -> Result<DetectInputs, (FrameFault, DetectPartial)> {
+        let frame = ctx
+            .get(&self.in_frames, ts)
+            .map_err(|fault| (fault, (None, None)))?
+            .value;
+        let hist = match ctx.get(&self.in_hist, ts) {
+            Ok(h) => h.value,
+            Err(fault) => return Err((fault, (Some(frame), None))),
+        };
+        match ctx.get(&self.in_mask, ts) {
+            Ok(m) => Ok((frame, hist, m.value)),
+            Err(fault) => Err((fault, (Some(frame), Some(hist)))),
+        }
+    }
+}
+
+impl Kernel for Detect {
+    type In = DetectInputs;
+    type Partial = DetectPartial;
+    type Out = Vec<ScoreMap>;
+
+    fn fetch(
+        &self,
+        ctx: &StageCtx,
+        ts: Timestamp,
+    ) -> Result<DetectInputs, (FrameFault, DetectPartial)> {
         let since = Instant::now();
-        let fetched = self.fetch_inputs(ts);
-        if matches!(fetched, Err(FrameFault::Skip)) {
+        let fetched = self.fetch_all(ctx, ts);
+        if matches!(fetched, Err((FrameFault::Skip, _))) {
             // Skipping the frame advances all three input frontiers, and a
             // producer that has not settled the frame yet (put it or
             // skip-marked it) would then have its put rejected as late —
@@ -1084,51 +1012,22 @@ impl DetectTask {
             // out first — but only for what is left of this frame's budget:
             // a producer stalled past it is the watchdog's case, and T5 is
             // already counting its own deadline on the next frame.
-            self.ctx.await_settled(&self.in_hist, ts, since);
-            self.ctx.await_settled(&self.in_mask, ts, since);
+            ctx.await_settled(&self.in_hist, ts, since);
+            ctx.await_settled(&self.in_mask, ts, since);
         }
         fetched
     }
 
-    fn fetch_inputs(&self, ts: Timestamp) -> Result<DetectInputs, FrameFault> {
-        let frame = self.ctx.get(&self.in_frames, ts)?.value;
-        let hist = self.ctx.get(&self.in_hist, ts)?.value;
-        let mask = self.ctx.get(&self.in_mask, ts)?.value;
-        Ok((frame, hist, mask))
-    }
-
-    /// Settle frame `ts` through the output; all three input frontiers
-    /// advance together.
-    fn settle<H>(
-        &self,
-        ts: Timestamp,
-        result: Result<Vec<ScoreMap>, FrameFault>,
-        held: H,
-    ) -> Result<(), Stop> {
-        self.out.settle(&self.ctx, ts, result, held, |prefix| {
-            self.in_frames.advance_frontier(prefix);
-            self.in_hist.advance_frontier(prefix);
-            self.in_mask.advance_frontier(prefix);
-        })
-    }
-
     /// One whole activation: splitter, workers (or serial), joiner.
-    fn detect_frame(&self, ts: Timestamp, inputs: &DetectInputs) -> Vec<ScoreMap> {
+    fn compute(&self, ctx: &StageCtx, ts: Timestamp, inputs: &DetectInputs) -> Vec<ScoreMap> {
         let (frame, hist, mask) = inputs;
         let (fp, mp) = self.current_decomp();
-        self.ctx
-            .rec_instant(SpanKind::Decomp, ts.0, Some((fp as u16, mp as u16)));
-        let chunks = detect_chunks(
-            self.width,
-            self.height,
-            self.models.len(),
-            fp as usize,
-            mp as usize,
-        );
-        let partials: Vec<PartialScores> = match (&self.pool, chunks.len()) {
+        ctx.rec_instant(SpanKind::Decomp, ts.0, Some((fp as u16, mp as u16)));
+        let chunks = self.chunks((fp, mp));
+        let partials: Vec<PartialScores> = match (&ctx.run.shared.pool, chunks.len()) {
             (Some(pool), n) if n > 1 => {
                 let (tx, rx) = bounded(n);
-                let rec = self.ctx.recorder();
+                let rec = ctx.recorder();
                 for (idx, &c) in chunks.iter().enumerate() {
                     let job = PoolJob::Detect(ChunkJob {
                         frame: Arc::clone(frame),
@@ -1142,25 +1041,25 @@ impl DetectTask {
                         rec: rec.clone(),
                         reply: tx.clone(),
                     });
-                    self.ctx.submit_or_run(pool, job);
+                    ctx.submit_or_run(pool, job);
                 }
                 drop(tx);
                 // Indexed replies: a missing slot means the chunk's worker
                 // panicked before sending — the joiner recomputes it inline
                 // (degradation ladder rung 3), keeping the frame's output
                 // bit-identical.
-                let join_t0 = self.ctx.rec_now();
+                let join_t0 = ctx.rec_now();
                 let mut slots: Vec<Option<Vec<PartialScores>>> = (0..n).map(|_| None).collect();
                 for (idx, p) in rx.iter() {
                     slots[idx] = Some(p);
                 }
-                self.ctx.rec_span(SpanKind::Join, ts.0, None, join_t0);
+                ctx.rec_span(SpanKind::Join, ts.0, None, join_t0);
                 let mut partials = Vec::new();
                 for (idx, slot) in slots.into_iter().enumerate() {
                     match slot {
                         Some(p) => partials.extend(p),
                         None => {
-                            self.ctx.health().record_chunk_recompute();
+                            ctx.health().record_chunk_recompute();
                             partials.extend(target_detection_chunk(
                                 frame,
                                 hist,
@@ -1180,98 +1079,75 @@ impl DetectTask {
         };
         merge_partials(self.width, self.height, self.models.len(), &partials)
     }
-}
 
-impl TaskBody for DetectTask {
-    fn name(&self) -> &str {
-        "Target Detection"
+    fn advance(&self, prefix: Timestamp) {
+        self.in_frames.advance_frontier(prefix);
+        self.in_hist.advance_frontier(prefix);
+        self.in_mask.advance_frontier(prefix);
     }
 
-    fn process(&self, ts: Timestamp, chunk: Option<(u32, u32)>) -> Result<(), Stop> {
-        self.ctx.begin(ts);
-        match chunk {
-            None => {
-                let inputs = match self.inputs(ts) {
-                    Ok(v) => v,
-                    Err(fault) => return self.settle(ts, Err(fault), ()),
-                };
-                let maps = self.ctx.compute(ts, || self.detect_frame(ts, &inputs));
-                self.settle(ts, Ok(maps), inputs)
-            }
-            Some((idx, count)) => {
-                // One chunk under an explicit schedule; the last chunk
-                // joins. A faulted instance abandons the frame but still
-                // counts toward the join, so the frame concludes (skipped)
-                // instead of leaking pending state.
-                let inputs = match self.inputs(ts) {
-                    Ok(v) => Some(v),
-                    Err(FrameFault::Stop) => return self.settle(ts, Err(FrameFault::Stop), ()),
-                    Err(FrameFault::Skip) => None,
-                };
-                let mut partials = Vec::new();
-                let mut abandoned = inputs.is_none();
-                if let Some((frame, hist, mask)) = &inputs {
-                    let (fp, mp) = self.fixed_decomp;
-                    let chunks = detect_chunks(
-                        self.width,
-                        self.height,
-                        self.models.len(),
-                        fp as usize,
-                        mp as usize,
-                    );
-                    if chunks.len() != count as usize {
-                        // The schedule and the decomposition disagree:
-                        // formerly an assert, now one dropped frame.
-                        self.ctx.health().record(RuntimeError::ChunkMismatch {
-                            ts: ts.0,
-                            expected: count,
-                            got: chunks.len() as u32,
-                        });
-                        abandoned = true;
-                    } else {
-                        let t0 = self.ctx.rec_now();
-                        partials = target_detection_chunk(
-                            frame,
-                            hist,
-                            &self.models,
-                            mask,
-                            chunks[idx as usize],
-                        );
-                        self.ctx.rec_span(
-                            SpanKind::Compute,
-                            ts.0,
-                            Some((idx as u16, count as u16)),
-                            t0,
-                        );
-                    }
-                }
-                let ready = {
-                    let mut pending = self.pending.lock();
-                    let entry = pending.entry(ts.0).or_default();
-                    entry.arrived += 1;
-                    entry.abandoned |= abandoned;
-                    entry.partials.extend(partials);
-                    if entry.arrived == count {
-                        pending.remove(&ts.0)
-                    } else {
-                        None
-                    }
-                };
-                match ready {
-                    Some(join) if !join.abandoned => {
-                        let maps = merge_partials(
-                            self.width,
-                            self.height,
-                            self.models.len(),
-                            &join.partials,
-                        );
-                        self.settle(ts, Ok(maps), inputs)
-                    }
-                    Some(_) => self.settle(ts, Err(FrameFault::Skip), inputs),
-                    None => Ok(()),
-                }
+    /// One chunk under an explicit schedule; the last chunk joins. A
+    /// faulted instance abandons the frame but still counts toward the
+    /// join, so the frame concludes (skipped) instead of leaking pending
+    /// state.
+    fn compute_chunk(
+        &self,
+        ctx: &StageCtx,
+        ts: Timestamp,
+        (idx, count): (u32, u32),
+        input: Result<&DetectInputs, FrameFault>,
+    ) -> Option<Result<Vec<ScoreMap>, FrameFault>> {
+        let input = match input {
+            Err(FrameFault::Stop) => return Some(Err(FrameFault::Stop)),
+            input => input.ok(),
+        };
+        let mut partials = Vec::new();
+        let mut abandoned = input.is_none();
+        if let Some((frame, hist, mask)) = input {
+            let chunks = self.chunks(self.fixed_decomp);
+            if chunks.len() != count as usize {
+                // The schedule and the decomposition disagree: formerly an
+                // assert, now one dropped frame.
+                ctx.health().record(RuntimeError::ChunkMismatch {
+                    ts: ts.0,
+                    expected: count,
+                    got: chunks.len() as u32,
+                });
+                abandoned = true;
+            } else {
+                let t0 = ctx.rec_now();
+                partials =
+                    target_detection_chunk(frame, hist, &self.models, mask, chunks[idx as usize]);
+                ctx.rec_span(
+                    SpanKind::Compute,
+                    ts.0,
+                    Some((idx as u16, count as u16)),
+                    t0,
+                );
             }
         }
+        let join = {
+            let mut pending = self.pending.lock();
+            let entry = pending.entry(ts.0).or_default();
+            entry.arrived += 1;
+            entry.abandoned |= abandoned;
+            entry.partials.extend(partials);
+            if entry.arrived == count {
+                pending.remove(&ts.0)
+            } else {
+                None
+            }
+        }?;
+        Some(if join.abandoned {
+            Err(FrameFault::Skip)
+        } else {
+            Ok(merge_partials(
+                self.width,
+                self.height,
+                self.models.len(),
+                &join.partials,
+            ))
+        })
     }
 }
 
@@ -1280,48 +1156,26 @@ impl TaskBody for DetectTask {
 // ---------------------------------------------------------------------
 
 /// T5: peak detection over the back projections → "Model Locations".
-pub struct PeakTask {
-    input: InputConn<Vec<ScoreMap>>,
-    out: StageOut<Vec<ModelLocation>>,
-    min_score: f32,
-    ctx: StageCtx,
+pub(crate) struct Peak {
+    pub(crate) input: InputConn<Vec<ScoreMap>>,
+    pub(crate) min_score: f32,
 }
 
-impl PeakTask {
-    /// Create the peak-detection task, producing into `out_chan` under
-    /// `ctx`.
-    #[must_use]
-    pub fn new(
-        input: InputConn<Vec<ScoreMap>>,
-        out_chan: Channel<Vec<ModelLocation>>,
-        min_score: f32,
-        ctx: StageCtx,
-    ) -> Self {
-        PeakTask {
-            input,
-            out: StageOut::new(out_chan),
-            min_score,
-            ctx,
-        }
-    }
-}
+impl Kernel for Peak {
+    type In = GetOk<Vec<ScoreMap>>;
+    type Partial = ();
+    type Out = Vec<ModelLocation>;
 
-impl TaskBody for PeakTask {
-    fn name(&self) -> &str {
-        "Peak Detection"
+    fn fetch(&self, ctx: &StageCtx, ts: Timestamp) -> Result<Self::In, (FrameFault, ())> {
+        ctx.get(&self.input, ts).map_err(|fault| (fault, ()))
     }
 
-    fn process(&self, ts: Timestamp, _chunk: Option<(u32, u32)>) -> Result<(), Stop> {
-        self.ctx.begin(ts);
-        let advance = |prefix| self.input.advance_frontier(prefix);
-        let scores = match self.ctx.get(&self.input, ts) {
-            Ok(s) => s,
-            Err(fault) => return self.out.settle(&self.ctx, ts, Err(fault), (), advance),
-        };
-        let locs = self
-            .ctx
-            .compute(ts, || peak_detection(&scores.value, self.min_score));
-        self.out.settle(&self.ctx, ts, Ok(locs), scores, advance)
+    fn compute(&self, _ctx: &StageCtx, _ts: Timestamp, scores: &Self::In) -> Vec<ModelLocation> {
+        peak_detection(&scores.value, self.min_score)
+    }
+
+    fn advance(&self, prefix: Timestamp) {
+        self.input.advance_frontier(prefix);
     }
 }
 
@@ -1332,54 +1186,47 @@ impl TaskBody for PeakTask {
 /// The graph's sink: consumes model locations (in the kiosk this drives
 /// DECface's gaze), records completion, and feeds the regime controller
 /// with the observed people count. An injected regime misread falsifies
-/// only what the controller hears — the logs keep the true observations,
+/// only what the controller hears — the log keeps the true observations,
 /// which is what makes misreads testable for output-invariance.
 pub struct FaceTask {
     input: InputConn<Vec<ModelLocation>>,
-    measure: Arc<Measurements>,
     controller: Option<Arc<RegimeController>>,
+    /// The adaptation loop this sink drives: its frame-boundary hook runs
+    /// after every frame the sink settles — the "between frames" moment
+    /// swaps are allowed to land.
     adapt: Option<Arc<AdaptLoop>>,
     ctx: StageCtx,
-    locations_log: Mutex<Vec<(u64, u32)>>,
-    full_log: Mutex<Vec<(u64, Vec<ModelLocation>)>>,
+    log: Mutex<Vec<(u64, Vec<ModelLocation>)>>,
     cursor: SharedCursor,
 }
 
 impl FaceTask {
     /// Create the sink task under `ctx`.
-    #[must_use]
-    pub fn new(
+    pub(crate) fn new(
         input: InputConn<Vec<ModelLocation>>,
-        measure: Arc<Measurements>,
         controller: Option<Arc<RegimeController>>,
+        adapt: Option<Arc<AdaptLoop>>,
         ctx: StageCtx,
     ) -> Self {
         FaceTask {
             input,
-            measure,
             controller,
-            adapt: None,
+            adapt,
             ctx,
-            locations_log: Mutex::new(Vec::new()),
-            full_log: Mutex::new(Vec::new()),
+            log: Mutex::new(Vec::new()),
             cursor: SharedCursor::default(),
         }
-    }
-
-    /// Drive the adaptation loop from this sink: its frame-boundary hook
-    /// runs after every frame the sink settles — the "between frames"
-    /// moment swaps are allowed to land.
-    #[must_use]
-    pub fn with_adapt(mut self, adapt: Arc<AdaptLoop>) -> Self {
-        self.adapt = Some(adapt);
-        self
     }
 
     /// `(timestamp, detected count)` per processed frame, in completion
     /// order.
     #[must_use]
     pub fn observations(&self) -> Vec<(u64, u32)> {
-        self.locations_log.lock().clone()
+        self.log
+            .lock()
+            .iter()
+            .map(|(ts, locs)| (*ts, detected_count(locs)))
+            .collect()
     }
 
     /// `(timestamp, full model locations)` per processed frame, in
@@ -1387,13 +1234,13 @@ impl FaceTask {
     /// harness.
     #[must_use]
     pub fn locations(&self) -> Vec<(u64, Vec<ModelLocation>)> {
-        self.full_log.lock().clone()
+        self.log.lock().clone()
     }
 }
 
 impl TaskBody for FaceTask {
     fn name(&self) -> &str {
-        "DECface Update"
+        self.ctx.stage.name()
     }
 
     fn process(&self, ts: Timestamp, _chunk: Option<(u32, u32)>) -> Result<(), Stop> {
@@ -1413,16 +1260,15 @@ impl TaskBody for FaceTask {
             }
         };
         let count = self.ctx.compute(ts, || detected_count(&locs.value));
-        self.measure.mark_completed(ts.0);
+        self.ctx.run.measure.mark_completed(ts.0);
         self.ctx.rec_instant(SpanKind::Commit, ts.0, None);
         self.ctx.tap_commit(ts.0, count, &locs.value);
         self.ctx.mark_stage(ts.0);
         if let Some(c) = &self.controller {
-            // A misread lies to the controller only; the logs keep truth.
+            // A misread lies to the controller only; the log keeps truth.
             c.observe(self.ctx.misread(ts.0).unwrap_or(count));
         }
-        self.locations_log.lock().push((ts.0, count));
-        self.full_log.lock().push((ts.0, (*locs.value).clone()));
+        self.log.lock().push((ts.0, (*locs.value).clone()));
         let prefix = self.cursor.commit(ts.0);
         self.input.advance_frontier(Timestamp(prefix));
         // The frame-boundary hook of the adaptation loop: this frame is
@@ -1440,6 +1286,16 @@ mod tests {
     use super::*;
     use crate::faults::FaultPlan;
     use stm::ChannelBuilder;
+
+    /// Stage `stage`'s context in a solo run configured by `cfg`.
+    fn stage_ctx(stage: Stage, cfg: &TrackerConfig) -> StageCtx {
+        let run = Arc::new(RunCtx::new(cfg, SharedResources::solo(cfg), None));
+        StageCtx::new(stage, &run)
+    }
+
+    fn small() -> TrackerConfig {
+        TrackerConfig::small(1, 8)
+    }
 
     #[test]
     fn shared_cursor_tracks_contiguous_prefix() {
@@ -1474,7 +1330,9 @@ mod tests {
     fn ctx_get_maps_timeout_to_skip_and_records() {
         let chan: Channel<u32> = ChannelBuilder::new("t").capacity(4).build();
         let conn = chan.attach_input();
-        let ctx = StageCtx::new(Stage::Peak).with_deadline(Duration::from_millis(5));
+        let mut cfg = small();
+        cfg.frame_deadline = Some(Duration::from_millis(5));
+        let ctx = stage_ctx(Stage::Peak, &cfg);
         // Nothing was ever put: the deadline watchdog gives up and skips.
         let r = ctx.get(&conn, Timestamp(0));
         assert_eq!(r.err(), Some(FrameFault::Skip));
@@ -1488,7 +1346,7 @@ mod tests {
         let chan: Channel<u32> = ChannelBuilder::new("t").capacity(4).build();
         let conn = chan.attach_input();
         chan.close();
-        let ctx = StageCtx::new(Stage::Peak);
+        let ctx = stage_ctx(Stage::Peak, &small());
         let r = ctx.get(&conn, Timestamp(0));
         assert_eq!(r.err(), Some(FrameFault::Stop));
         assert!(
@@ -1506,7 +1364,9 @@ mod tests {
         let conn = chan.attach_input();
         out.put(Timestamp(0), 7).unwrap();
         let inj = FaultPlan::new().stm_error(Stage::Histogram, 0).build();
-        let ctx = StageCtx::new(Stage::Histogram).with_faults(Arc::clone(&inj));
+        let mut cfg = small();
+        cfg.faults = Some(Arc::clone(&inj));
+        let ctx = stage_ctx(Stage::Histogram, &cfg);
         assert_eq!(ctx.get(&conn, Timestamp(0)).err(), Some(FrameFault::Skip));
         assert_eq!(ctx.health().report().stm_get_drops, 1);
         // The fault fired once; the retry sees the real (healthy) channel.
@@ -1518,7 +1378,7 @@ mod tests {
     fn ctx_put_rejection_skips_and_records() {
         let chan: Channel<u32> = ChannelBuilder::new("t").capacity(4).build();
         let out = chan.attach_output();
-        let ctx = StageCtx::new(Stage::Change);
+        let ctx = stage_ctx(Stage::Change, &small());
         out.put(Timestamp(3), 1).unwrap();
         // Duplicate timestamp: rejected, recorded, stream continues.
         assert_eq!(ctx.put(&out, Timestamp(3), 2).err(), Some(FrameFault::Skip));
@@ -1535,7 +1395,7 @@ mod tests {
         let chan: Channel<u32> = ChannelBuilder::new("out").capacity(8).build();
         let reader = chan.attach_input();
         let out = StageOut::new(chan.clone());
-        let ctx = StageCtx::new(Stage::Peak);
+        let ctx = stage_ctx(Stage::Peak, &small());
         let events = Mutex::new(Vec::new());
         let advance = |prefix: Timestamp| {
             input.advance_frontier(prefix);
@@ -1578,5 +1438,86 @@ mod tests {
         assert_eq!(r, Ok(()));
         assert!(chan.is_closed(), "the last instance below the stop closes");
         assert!(ctx.health().report().is_clean());
+    }
+
+    #[test]
+    fn a_fetch_that_fails_part_way_skips_and_drops_its_input_after_the_advance() {
+        // A kernel with two inputs whose second is skip-marked at frame 1:
+        // that frame's fetch has already taken its first input when it
+        // fails. Consumers must learn of the skip, the frontier must wait
+        // for the prefix, and the taken input must outlive the advance.
+        type Events = Arc<Mutex<Vec<&'static str>>>;
+        struct Taken {
+            events: Events,
+            _input: GetOk<u32>,
+        }
+        impl Drop for Taken {
+            fn drop(&mut self) {
+                self.events.lock().push("drop");
+            }
+        }
+        struct Sum {
+            a: InputConn<u32>,
+            b: InputConn<u32>,
+            events: Events,
+        }
+        impl Kernel for Sum {
+            type In = (GetOk<u32>, GetOk<u32>);
+            type Partial = Option<Taken>;
+            type Out = u32;
+            fn fetch(
+                &self,
+                ctx: &StageCtx,
+                ts: Timestamp,
+            ) -> Result<Self::In, (FrameFault, Self::Partial)> {
+                let a = ctx.get(&self.a, ts).map_err(|fault| (fault, None))?;
+                match ctx.get(&self.b, ts) {
+                    Ok(b) => Ok((a, b)),
+                    Err(fault) => {
+                        let events = Arc::clone(&self.events);
+                        Err((fault, Some(Taken { events, _input: a })))
+                    }
+                }
+            }
+            fn compute(&self, _: &StageCtx, _: Timestamp, (a, b): &Self::In) -> u32 {
+                *a.value + *b.value
+            }
+            fn advance(&self, prefix: Timestamp) {
+                self.a.advance_frontier(prefix);
+                self.b.advance_frontier(prefix);
+                self.events.lock().push("advance");
+            }
+        }
+
+        let a: Channel<u32> = ChannelBuilder::new("a").capacity(8).build();
+        let b: Channel<u32> = ChannelBuilder::new("b").capacity(8).build();
+        let out: Channel<u32> = ChannelBuilder::new("out").capacity(8).build();
+        let (a_out, b_out, reader) = (a.attach_output(), b.attach_output(), out.attach_input());
+        let events = Events::default();
+        let kernel = Sum {
+            a: a.attach_input(),
+            b: b.attach_input(),
+            events: Arc::clone(&events),
+        };
+        let stage = Transform::new(kernel, out.clone(), stage_ctx(Stage::Detect, &small()));
+        for ts in 0..2 {
+            a_out.put(Timestamp(ts), 1).unwrap();
+        }
+        b_out.put(Timestamp(0), 2).unwrap();
+        b_out.mark_skipped(Timestamp(1));
+
+        // Frame 1 while 0 is in flight.
+        assert_eq!(stage.process(Timestamp(1), None), Ok(()));
+        assert_eq!(*events.lock(), ["advance", "drop"]);
+        let miss = reader.try_get(TsSpec::Exact(Timestamp(1))).err();
+        assert_eq!(miss.map(|m| m.reason), Some(MissReason::Skipped));
+        assert_eq!(stage.kernel.a.frontier(), Timestamp(0));
+        assert_eq!(stage.ctx.health().report().deadline_skips, 1);
+
+        // Frame 0 completes the prefix.
+        assert_eq!(stage.process(Timestamp(0), None), Ok(()));
+        assert_eq!(*reader.get(TsSpec::Exact(Timestamp(0))).unwrap().value, 3);
+        assert_eq!(stage.kernel.a.frontier(), Timestamp(2));
+        assert_eq!(stage.kernel.b.frontier(), Timestamp(2));
     }
 }
