@@ -1,7 +1,11 @@
 //! T5 — Peak Detection: the vertical half of the separable box filter plus
 //! per-model argmax, producing the "Model Locations" channel that drives
 //! DECface's gaze behaviour. Linear in the number of models, with a much
-//! smaller constant than T4.
+//! smaller constant than T4. Both halves run a row at a time: the running
+//! sum is a slice add and a slice subtract per row, and the argmax looks
+//! inside a row only when the row's maximum reaches the best so far. Cells
+//! are still ranked in `(y, x)` order, so ties and plateaus resolve exactly
+//! as a cell-by-cell scan would.
 
 use crate::detect::{ScoreMap, HALF_WINDOW};
 
@@ -29,43 +33,7 @@ pub fn peak_detection(scores: &[ScoreMap], min_score: f32) -> Vec<ModelLocation>
         .iter()
         .enumerate()
         .map(|(m, map)| {
-            let w = map.width;
-            let h = map.height;
-            // Best value plus the bounding box of the cells achieving it:
-            // reporting the box center de-biases plateau ties (a uniform
-            // blob's response plateaus across the whole window overlap).
-            let mut best = f32::NEG_INFINITY;
-            let mut bbox = (0usize, 0usize, 0usize, 0usize); // x0, x1, y0, y1
-                                                             // Column-wise running sum over rows.
-            let mut acc: Vec<f32> = vec![0.0; w];
-            for y in 0..=HALF_WINDOW.min(h - 1) {
-                for (x, a) in acc.iter_mut().enumerate() {
-                    *a += map.get(x, y);
-                }
-            }
-            for y in 0..h {
-                for (x, a) in acc.iter().enumerate() {
-                    if *a > best {
-                        best = *a;
-                        bbox = (x, x, y, y);
-                    } else if *a == best {
-                        bbox.0 = bbox.0.min(x);
-                        bbox.1 = bbox.1.max(x);
-                        bbox.3 = bbox.3.max(y);
-                    }
-                }
-                let add = y + HALF_WINDOW + 1;
-                if add < h {
-                    for (x, a) in acc.iter_mut().enumerate() {
-                        *a += map.get(x, add);
-                    }
-                }
-                if y >= HALF_WINDOW {
-                    for (x, a) in acc.iter_mut().enumerate() {
-                        *a -= map.get(x, y - HALF_WINDOW);
-                    }
-                }
-            }
+            let (best, bbox) = peak_of(map);
             ModelLocation {
                 model: m,
                 x: (bbox.0 + bbox.1) / 2,
@@ -75,6 +43,83 @@ pub fn peak_detection(scores: &[ScoreMap], min_score: f32) -> Vec<ModelLocation>
             }
         })
         .collect()
+}
+
+/// The best filtered response of one map, and the bounding box
+/// `(x0, x1, y0, y1)` of the cells achieving it: reporting the box center
+/// de-biases plateau ties (a uniform blob's response plateaus across the
+/// whole window overlap).
+///
+/// The running sum keeps one column total per pixel and slides a whole row
+/// at a time: add row `y + HALF + 1`, drop row `y - HALF`, each a slice
+/// add. The argmax is taken a row at a time in `(y, x)` order: a row whose
+/// maximum falls short of `best` is passed over, and only a row that
+/// reaches it is scanned for where that maximum lies.
+fn peak_of(map: &ScoreMap) -> (f32, (usize, usize, usize, usize)) {
+    let h = map.height;
+    let mut best = f32::NEG_INFINITY;
+    let mut bbox = (0usize, 0usize, 0usize, 0usize);
+    let mut acc: Vec<f32> = vec![0.0; map.width];
+    for y in 0..h.min(HALF_WINDOW + 1) {
+        add_row(&mut acc, map.row(y));
+    }
+    for y in 0..h {
+        let top = row_max(&acc);
+        if top >= best {
+            // The first and last cells of the row equal to its maximum. A
+            // row of NaN alone has no maximum and ties nothing.
+            if let (Some(x0), Some(x1)) = (
+                acc.iter().position(|&a| a == top),
+                acc.iter().rposition(|&a| a == top),
+            ) {
+                if top > best {
+                    best = top;
+                    bbox = (x0, x1, y, y);
+                } else {
+                    bbox.0 = bbox.0.min(x0);
+                    bbox.1 = bbox.1.max(x1);
+                    bbox.3 = y;
+                }
+            }
+        }
+        let add = y + HALF_WINDOW + 1;
+        if add < h {
+            add_row(&mut acc, map.row(add));
+        }
+        if y >= HALF_WINDOW {
+            for (a, v) in acc.iter_mut().zip(map.row(y - HALF_WINDOW)) {
+                *a -= v;
+            }
+        }
+    }
+    (best, bbox)
+}
+
+fn add_row(acc: &mut [f32], row: &[f32]) {
+    for (a, v) in acc.iter_mut().zip(row) {
+        *a += v;
+    }
+}
+
+/// The largest value of `row` by `>`, NaN passed over (`-inf` for an empty
+/// or all-NaN row). Eight running maxima, one per lane of a 256-bit
+/// register, so the compares do not wait on each other. (Which zero comes
+/// back would depend on the lanes if a row held both; a running sum that
+/// starts at `+0.0` never yields `-0.0`.)
+fn row_max(row: &[f32]) -> f32 {
+    let mut lanes = [f32::NEG_INFINITY; 8];
+    let mut blocks = row.chunks_exact(8);
+    for block in &mut blocks {
+        for (m, &v) in lanes.iter_mut().zip(block) {
+            if v > *m {
+                *m = v;
+            }
+        }
+    }
+    lanes
+        .iter()
+        .chain(blocks.remainder())
+        .fold(f32::NEG_INFINITY, |m, &v| if v > m { v } else { m })
 }
 
 /// Count how many models were confidently detected — the state observation
