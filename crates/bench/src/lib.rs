@@ -57,20 +57,32 @@ pub fn csv_line<C: Display>(cells: &[C]) {
     println!("csv,{}", joined.join(","));
 }
 
-/// Print a final `[PASS]`/`[FAIL]` checklist and **exit nonzero** when any
-/// check failed, so a CI smoke run of the binary gates on correctness
-/// instead of only on it not crashing. Call this last — it does not
-/// return on failure.
-pub fn run_checks<S: Display>(checks: &[(S, bool)]) {
+/// Print a `[PASS]`/`[FAIL]` line per check; true when every check held.
+/// A report with several checklists prints each where it belongs and
+/// passes their conjunction to [`exit_unless`] at the end, so a failure in
+/// one does not stop the others from running.
+pub fn print_checks<S: Display>(checks: &[(S, bool)]) -> bool {
     let mut all_ok = true;
     for (name, ok) in checks {
         all_ok &= ok;
         println!("  [{}] {name}", if *ok { "PASS" } else { "FAIL" });
     }
+    all_ok
+}
+
+/// **Exit nonzero** unless `all_ok`, so a CI smoke run of the binary gates
+/// on correctness instead of only on it not crashing.
+pub fn exit_unless(all_ok: bool) {
     if !all_ok {
         eprintln!("FAILED: at least one check above did not hold");
         std::process::exit(1);
     }
+}
+
+/// Print a final `[PASS]`/`[FAIL]` checklist and **exit nonzero** when any
+/// check failed. Call this last — it does not return on failure.
+pub fn run_checks<S: Display>(checks: &[(S, bool)]) {
+    exit_unless(print_checks(checks));
 }
 
 #[cfg(test)]
