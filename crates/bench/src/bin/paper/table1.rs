@@ -170,31 +170,40 @@ pub fn run() {
         &rows,
     );
 
-    // Shape checks: what holds on this host's real kernels. The live T4
-    // evaluates the back projection per masked pixel, so the only
-    // per-model-per-chunk set-up is a 4,096-bin ratio histogram: splitting
-    // the frame no longer replicates a cost that splitting the model set
-    // avoids, and FP=4 vs MP=8 is reported, not gated — neither has a
-    // structural reason to win (the paper's crossover lives in the
-    // paper-scale cost model below). A failed check does not end the
+    // Shape checks on this host's real kernels. The live T4 evaluates the
+    // back projection per masked pixel, so the only per-model-per-chunk
+    // set-up is a 4,096-bin ratio histogram, and it runs a chunk's models
+    // together as lanes: one mask walk, one colour lookup and one filter
+    // pass per pixel serve up to eight models. Splitting the frame keeps
+    // that sharing (four eight-lane strips); splitting the model set gives
+    // it up (one-lane chunks, each paying the whole per-pixel walk). So
+    // FP=4 beats the serial eight-lane chunk, and 32 one-lane chunks on the
+    // same four processors cost more than FP=4's four eight-lane chunks. A
+    // one-lane chunk costs about half the eight-lane one, so MP=8's two
+    // rounds of them on four processors come out level with serial: that
+    // ratio and FP=4 vs MP=8 are reported, not gated (the paper's
+    // crossover lives in the paper-scale cost model below). EXPERIMENTS.md
+    // "Table 1" gives each check's margin. A failed check does not end the
     // report: every section runs, and the exit status covers them all.
     let g = |fp: usize, n: usize, mp: usize| measured[&(fp, n, mp)];
+    let serial8 = g(1, 8, 1);
     println!(
         "\n8 models, FP=4 (4 chunks) vs MP=8 (8 chunks): {:.4} s vs {:.4} s, ratio {:.2} (paper: 2.033 vs 1.857, ratio 1.09)",
         g(4, 8, 1),
         g(1, 8, 8),
         g(4, 8, 1) / g(1, 8, 8)
     );
-    let serial8 = g(1, 8, 1);
+    println!(
+        "8 models, MP=8 (8 chunks) vs serial (1 chunk): {:.4} s vs {serial8:.4} s, ratio {:.2} (paper: 1.857 vs 6.850, ratio 0.27)",
+        g(1, 8, 8),
+        g(1, 8, 8) / serial8
+    );
     let checks = [
         ("1 model: FP=4 beats FP=1", g(4, 1, 1) < g(1, 1, 1)),
+        ("8 models: FP=4 beats serial", g(4, 8, 1) < serial8),
         (
-            "8 models: every 4-way-or-finer split beats serial",
-            g(1, 8, 8) < serial8 && g(4, 8, 1) < serial8 && g(4, 8, 8) < serial8,
-        ),
-        (
-            "8 models: 32 chunks no better than the best of 4 and 8",
-            g(4, 8, 8) > g(4, 8, 1).min(g(1, 8, 8)) * 0.9,
+            "8 models: 32 one-lane chunks cost more than FP=4's four eight-lane chunks",
+            g(4, 8, 8) > g(4, 8, 1),
         ),
     ];
     println!("\nshape checks:");
