@@ -210,15 +210,24 @@ impl ColorHist {
     /// the current image.
     #[must_use]
     pub fn ratio(&self, image: &ColorHist) -> Box<[f32]> {
-        let mut r = vec![0.0f32; N_BINS].into_boxed_slice();
-        for i in 0..N_BINS {
-            let m = self.bins[i];
-            if m > 0.0 {
-                let im = image.bins[i];
-                r[i] = if im > 0.0 { (m / im).min(1.0) } else { 1.0 };
+        (0..N_BINS).map(|i| self.ratio_bin(image, i)).collect()
+    }
+
+    /// Bin `i` of [`ratio`](Self::ratio).
+    #[inline]
+    #[must_use]
+    pub fn ratio_bin(&self, image: &ColorHist, i: usize) -> f32 {
+        let m = self.bins[i];
+        if m > 0.0 {
+            let im = image.bins[i];
+            if im > 0.0 {
+                (m / im).min(1.0)
+            } else {
+                1.0
             }
+        } else {
+            0.0
         }
-        r
     }
 
     /// Merge another histogram into this one (used by the data-parallel

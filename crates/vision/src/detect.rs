@@ -31,7 +31,7 @@
 //! The complementary vertical pass lives in T5 ([`crate::peak`]), keeping
 //! the separable smoothing exact under decomposition.
 
-use crate::color::{ColorHist, BINS_PER_CHANNEL, QUANT_BITS};
+use crate::color::{ColorHist, BINS_PER_CHANNEL, N_BINS, QUANT_BITS};
 use crate::frame::{BitMask, Frame, Region};
 
 /// Horizontal box-filter half-width (full window = `2*HALF + 1` pixels).
@@ -63,27 +63,42 @@ fn axis_coords() -> [AxisCoord; LUT_SIZE] {
     })
 }
 
-/// Back-project one pixel: `ratio` (a [`ColorHist::ratio`] grid) read at
-/// the pixel's colour by trilinear interpolation. The expression and its
-/// operand order are those of [`ratio_lut`]'s inner loop, so the result is
-/// bit-identical to `ratio_lut(..)[lut_index(rgb)]` — eight reads of a
-/// 16 KiB grid instead of a 1 MiB table built to be read once.
+/// Back-project one pixel for a group of `L` models at once: the
+/// `[cell][lane]` grid holds the models' [`ColorHist::ratio`] grids
+/// interleaved, so the pixel's three axis coordinates are looked up once and
+/// each of the eight corners is read as `L` contiguous floats. Each lane's
+/// expression and operand order are those of [`ratio_lut`]'s inner loop, so
+/// lane `l` is bit-identical to `ratio_lut(model l, ..)[lut_index(rgb)]` —
+/// eight reads of a 16 KiB-per-model grid instead of a 1 MiB table built to
+/// be read once.
 #[inline]
-fn back_project(ratio: &[f32], axis: &[AxisCoord; LUT_SIZE], rgb: [u8; 3]) -> f32 {
+fn back_project<const L: usize>(
+    grid: &[[f32; L]],
+    axis: &[AxisCoord; LUT_SIZE],
+    rgb: [u8; 3],
+) -> [f32; L] {
     let shift = 8 - LUT_BITS;
     let (r0, r1, fr) = axis[(rgb[0] >> shift) as usize];
     let (g0, g1, fg) = axis[(rgb[1] >> shift) as usize];
     let (b0, b1, fb) = axis[(rgb[2] >> shift) as usize];
-    let at = |r: usize, g: usize, b: usize| -> f32 {
-        ratio[(r << (2 * QUANT_BITS)) | (g << QUANT_BITS) | b]
+    // Bins are below 16 on every axis, so the mask changes no index; it
+    // only lets the compiler drop the eight bounds checks.
+    let grid = &grid[..N_BINS];
+    let at = |r: usize, g: usize, b: usize| -> &[f32; L] {
+        &grid[((r << (2 * QUANT_BITS)) | (g << QUANT_BITS) | b) & (N_BINS - 1)]
     };
-    let c00 = at(r0, g0, b0) * (1.0 - fb) + at(r0, g0, b1) * fb;
-    let c01 = at(r0, g1, b0) * (1.0 - fb) + at(r0, g1, b1) * fb;
-    let c10 = at(r1, g0, b0) * (1.0 - fb) + at(r1, g0, b1) * fb;
-    let c11 = at(r1, g1, b0) * (1.0 - fb) + at(r1, g1, b1) * fb;
-    let c0 = c00 * (1.0 - fg) + c01 * fg;
-    let c1 = c10 * (1.0 - fg) + c11 * fg;
-    c0 * (1.0 - fr) + c1 * fr
+    // `a * (1 - f) + b * f` per lane: no fused multiply-add, no
+    // reassociation, exactly the scalar expression.
+    let lerp = |a: &[f32; L], b: &[f32; L], f: f32| -> [f32; L] {
+        std::array::from_fn(|l| a[l] * (1.0 - f) + b[l] * f)
+    };
+    let c00 = lerp(at(r0, g0, b0), at(r0, g0, b1), fb);
+    let c01 = lerp(at(r0, g1, b0), at(r0, g1, b1), fb);
+    let c10 = lerp(at(r1, g0, b0), at(r1, g0, b1), fb);
+    let c11 = lerp(at(r1, g1, b0), at(r1, g1, b1), fb);
+    let c0 = lerp(&c00, &c01, fg);
+    let c1 = lerp(&c10, &c11, fg);
+    lerp(&c0, &c1, fr)
 }
 
 /// The dense form of the back projection: one model's ratio histogram
@@ -176,6 +191,13 @@ impl ScoreMap {
         self.data[y * self.width + x] = v;
     }
 
+    /// The row-major scores, giving the plane up (to be recycled as a
+    /// buffer [`target_detection_chunk_reusing`] writes into).
+    #[must_use]
+    pub fn into_data(self) -> Vec<f32> {
+        self.data
+    }
+
     /// One row as a slice.
     #[must_use]
     pub fn row(&self, y: usize) -> &[f32] {
@@ -207,6 +229,19 @@ pub struct DetectChunk {
     pub model_lo: usize,
     /// Last model index (exclusive).
     pub model_hi: usize,
+}
+
+impl DetectChunk {
+    /// The recycled planes this chunk may write into, taken from `spare`
+    /// (see [`target_detection_chunk_reusing`]). Only a strip that starts
+    /// at row 0 becomes its models' planes at the join ([`join_partials`]),
+    /// so only such a chunk borrows: one plane per model.
+    pub fn lend_planes(&self, spare: &mut Vec<Vec<f32>>) -> Vec<Vec<f32>> {
+        if self.region.y0 > 0 {
+            return Vec::new();
+        }
+        spare.split_off(spare.len().saturating_sub(self.model_hi - self.model_lo))
+    }
 }
 
 /// Partition the detection work into `fp × min(mp, n_models)` chunks — the
@@ -265,69 +300,156 @@ pub fn target_detection_chunk(
     mask: &BitMask,
     chunk: DetectChunk,
 ) -> Vec<PartialScores> {
-    let region = chunk.region;
+    target_detection_chunk_reusing(frame, image_hist, models, mask, chunk, Vec::new())
+}
+
+/// [`target_detection_chunk`] writing each model's rows into a buffer
+/// popped from `planes` (recycled score planes: any length, any contents —
+/// every element is overwritten) and allocating only once `planes` runs
+/// out. The chunk's models run as lane groups of up to eight, each group
+/// one pass over the strip: a pixel's colour coordinates are computed once
+/// per group, not once per model, and the box filter advances every lane's
+/// running sum together. A one-model chunk is the one-lane case.
+#[must_use]
+pub fn target_detection_chunk_reusing(
+    frame: &Frame,
+    image_hist: &ColorHist,
+    models: &[ColorHist],
+    mask: &BitMask,
+    chunk: DetectChunk,
+    mut planes: Vec<Vec<f32>>,
+) -> Vec<PartialScores> {
     assert_eq!(
-        region.width(),
+        chunk.region.width(),
         frame.width,
         "chunks must be full-width strips"
     );
-    let w = region.width();
-    let axis = axis_coords();
-    // One raw (unfiltered) row, shared by every row and model of the chunk:
-    // all zeros whenever a row starts, masked pixels written, filtered into
-    // the output plane, zeroed again.
-    let mut raw_row = vec![0.0f32; w];
-    let mut out = Vec::with_capacity(chunk.model_hi - chunk.model_lo);
-    for (m, model) in models
-        .iter()
-        .enumerate()
-        .take(chunk.model_hi)
-        .skip(chunk.model_lo)
-    {
-        let ratio = model.ratio(image_hist);
-        let mut data = vec![0.0f32; region.area()];
-        for (y, out_row) in (region.y0..region.y1).zip(data.chunks_exact_mut(w)) {
-            let row = frame.row(y);
-            let mut masked = false;
-            mask.for_each_set_in_row(y, |x| {
-                let rgb = [row[3 * x], row[3 * x + 1], row[3 * x + 2]];
-                raw_row[x] = back_project(&ratio, &axis, rgb);
-                masked = true;
-            });
-            // A running sum over zeros is +0.0 at every pixel: a row with
-            // nothing masked keeps the plane's zeros.
-            if masked {
-                box_filter_row(&raw_row, out_row);
-                raw_row.fill(0.0);
-            }
+    let strip = Strip {
+        frame,
+        image_hist,
+        mask,
+        region: chunk.region,
+        axis: axis_coords(),
+    };
+    let hi = chunk.model_hi.min(models.len());
+    let lo = chunk.model_lo.min(hi);
+    let mut out = Vec::with_capacity(hi - lo);
+    // At most eight lanes a group, so one corner read is 32 bytes; a wider
+    // chunk runs as several groups.
+    for (g, group) in models[lo..hi].chunks(8).enumerate() {
+        let first = lo + 8 * g;
+        let (planes, out) = (&mut planes, &mut out);
+        match group.len() {
+            1 => strip.detect::<1>(group, first, planes, out),
+            2 => strip.detect::<2>(group, first, planes, out),
+            3 => strip.detect::<3>(group, first, planes, out),
+            4 => strip.detect::<4>(group, first, planes, out),
+            5 => strip.detect::<5>(group, first, planes, out),
+            6 => strip.detect::<6>(group, first, planes, out),
+            7 => strip.detect::<7>(group, first, planes, out),
+            _ => strip.detect::<8>(group, first, planes, out),
         }
-        out.push(PartialScores {
-            model: m,
-            region,
-            data,
-        });
     }
     out
 }
 
-/// Horizontal box filter of one row (running sum over a `2 * HALF_WINDOW + 1`
-/// window, clipped at the row ends), in the oracle's operation order.
-fn box_filter_row(raw: &[f32], out: &mut [f32]) {
+/// What every lane group of one chunk shares.
+struct Strip<'a> {
+    frame: &'a Frame,
+    image_hist: &'a ColorHist,
+    mask: &'a BitMask,
+    region: Region,
+    axis: [AxisCoord; LUT_SIZE],
+}
+
+impl Strip<'_> {
+    /// Models `first..first + L` (`group`) over the strip, one
+    /// [`PartialScores`] per model appended to `out`.
+    fn detect<const L: usize>(
+        &self,
+        group: &[ColorHist],
+        first: usize,
+        planes: &mut Vec<Vec<f32>>,
+        out: &mut Vec<PartialScores>,
+    ) {
+        let region = self.region;
+        let (w, area) = (region.width(), region.area());
+        let grid: Vec<[f32; L]> = (0..N_BINS)
+            .map(|cell| std::array::from_fn(|l| group[l].ratio_bin(self.image_hist, cell)))
+            .collect();
+        // A fresh plane is allocated zeroed, so a row with nothing masked
+        // keeps its zeros; a recycled one holds an earlier frame's scores
+        // (or anything at all) and has every such row cleared.
+        let mut recycled = false;
+        let mut data: [Vec<f32>; L] = std::array::from_fn(|_| match planes.pop() {
+            Some(mut plane) => {
+                recycled = true;
+                plane.truncate(area);
+                plane.resize(area, 0.0);
+                plane
+            }
+            None => vec![0.0; area],
+        });
+        // One raw (unfiltered) row of every lane: all zeros whenever a row
+        // starts, masked pixels written, filtered into the planes, zeroed
+        // again.
+        let mut raw = vec![[0.0f32; L]; w];
+        for (ry, y) in (region.y0..region.y1).enumerate() {
+            let row = self.frame.row(y);
+            let mut masked = false;
+            self.mask.for_each_set_in_row(y, |x| {
+                let rgb = [row[3 * x], row[3 * x + 1], row[3 * x + 2]];
+                raw[x] = back_project(&grid, &self.axis, rgb);
+                masked = true;
+            });
+            let at = ry * w;
+            if masked {
+                box_filter_row(&raw, &mut data, at);
+                raw.fill([0.0; L]);
+            } else if recycled {
+                // A running sum over zeros is +0.0 at every pixel.
+                for d in &mut data {
+                    d[at..at + w].fill(0.0);
+                }
+            }
+        }
+        out.extend(data.into_iter().enumerate().map(|(l, data)| PartialScores {
+            model: first + l,
+            region,
+            data,
+        }));
+    }
+}
+
+/// Horizontal box filter of one row of every lane (running sum over a
+/// `2 * HALF_WINDOW + 1` window, clipped at the row ends) into
+/// `planes[l][at..at + raw.len()]`, each lane in the oracle's operation
+/// order.
+fn box_filter_row<const L: usize>(raw: &[[f32; L]], planes: &mut [Vec<f32>; L], at: usize) {
     let w = raw.len();
-    let mut acc = 0.0f32;
+    let out: [&mut [f32]; L] = planes.each_mut().map(|p| &mut p[at..at + w]);
+    let mut acc = [0.0f32; L];
     // Initial window [0, HALF].
-    for &v in &raw[..=HALF_WINDOW.min(w - 1)] {
-        acc += v;
+    for v in raw.iter().take(HALF_WINDOW + 1) {
+        for l in 0..L {
+            acc[l] += v[l];
+        }
     }
     for x in 0..w {
-        out[x] = acc;
+        for l in 0..L {
+            out[l][x] = acc[l];
+        }
         // Slide: add x + HALF + 1, drop x - HALF.
         let add = x + HALF_WINDOW + 1;
         if add < w {
-            acc += raw[add];
+            for l in 0..L {
+                acc[l] += raw[add][l];
+            }
         }
         if x >= HALF_WINDOW {
-            acc -= raw[x - HALF_WINDOW];
+            for l in 0..L {
+                acc[l] -= raw[x - HALF_WINDOW][l];
+            }
         }
     }
 }
@@ -671,6 +793,23 @@ mod tests {
     }
 
     #[test]
+    fn recycled_planes_leave_no_trace() {
+        // Planes of the wrong length full of NaN: every score is rewritten.
+        let (f, hist, models, mask) = two_model_scene();
+        for chunk in detect_chunks(f.width, f.height, 2, 2, 1) {
+            let dirty = vec![vec![f32::NAN; 7], vec![f32::NAN; f.width * f.height + 9]];
+            let reused = target_detection_chunk_reusing(&f, &hist, &models, &mask, chunk, dirty);
+            let fresh = target_detection_chunk(&f, &hist, &models, &mask, chunk);
+            let bits = |ps: &[PartialScores]| -> Vec<Vec<u32>> {
+                ps.iter()
+                    .map(|p| p.data.iter().map(|v| v.to_bits()).collect())
+                    .collect()
+            };
+            assert_eq!(bits(&reused), bits(&fresh), "{chunk:?}");
+        }
+    }
+
+    #[test]
     #[should_panic(expected = "does not continue the tiling")]
     fn duplicated_strip_with_a_missing_one_panics() {
         // Strip 0 twice and no strip 1: the same area as a full tiling, so a
@@ -725,7 +864,7 @@ mod tests {
         let model = &scene.models()[0];
         let image = image_histogram(&scene.render(1));
         let lut = ratio_lut(model, &image);
-        let ratio = model.ratio(&image);
+        let grid: Vec<[f32; 1]> = model.ratio(&image).iter().map(|&r| [r]).collect();
         let axis = axis_coords();
         let shift = 8 - LUT_BITS;
         for r in 0..LUT_SIZE as u8 {
@@ -733,7 +872,7 @@ mod tests {
                 for b in 0..LUT_SIZE as u8 {
                     // Low bits set: they must not reach the result.
                     let rgb = [(r << shift) | 3, (g << shift) | 1, (b << shift) | 2];
-                    let got = back_project(&ratio, &axis, rgb);
+                    let [got] = back_project(&grid, &axis, rgb);
                     assert_eq!(
                         got.to_bits(),
                         lut[lut_index(rgb)].to_bits(),

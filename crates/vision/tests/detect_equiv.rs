@@ -4,7 +4,8 @@
 //! `target_detection_chunk_scalar` (a `64³` table per model, one mask probe
 //! per pixel) over randomized frame shapes, masks, model sets and
 //! decompositions, and over every split that hands chunks unequal model
-//! counts.
+//! counts. Past eight models a chunk runs as several lane groups of
+//! different widths.
 
 use proptest::prelude::*;
 use vision::detect::join_partials;
@@ -75,13 +76,13 @@ proptest! {
 
     /// Widths below the box filter's half-window, widths that are not a
     /// multiple of 64 (mask words straddle rows), single-row frames, every
-    /// mask kind, 1–8 models, any `(fp, mp)`: every chunk's planes equal
+    /// mask kind, 1–17 models, any `(fp, mp)`: every chunk's planes equal
     /// the oracle's bit for bit.
     #[test]
     fn live_chunk_matches_dense_oracle_bitwise(
         w in prop_oneof![1usize..8, 8usize..150],
         h in 1usize..12,
-        n_models in 1usize..9,
+        n_models in 1usize..18,
         fp in 1usize..5,
         mp in 1usize..9,
         mask_kind in 0u8..4,
@@ -119,8 +120,9 @@ fn bits(p: &[f32]) -> Vec<u32> {
     p.iter().map(|v| v.to_bits()).collect()
 }
 
-/// Every `(fp, mp)` that splits 1–17 models unevenly: each chunk's planes
-/// equal the oracle's bit for bit, and so does the join. A model's scores in a row do not depend
+/// Every `(fp, mp)` that splits 1–17 models unevenly (past eight, one chunk
+/// runs as two lane groups of different widths): each chunk's planes equal
+/// the oracle's bit for bit, and so does the join. A model's scores in a row do not depend
 /// on which strip or model range computed them, so one whole-frame oracle
 /// plane per model serves every split.
 #[test]
