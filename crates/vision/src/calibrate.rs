@@ -4,13 +4,15 @@
 //! parallel variants" (Fig. 6) obtained by measurement rather than
 //! assumption.
 
-use std::time::{Duration, Instant};
+use std::time::Instant;
 
 use taskgraph::{CostModel, DataParallelSpec, Micros, SizeModel, TaskGraph, TaskGraphBuilder};
 
 use crate::change::{change_detection, DEFAULT_THRESHOLD};
+use crate::color::ColorHist;
 use crate::detect::target_detection;
-use crate::detect::{detect_chunks, target_detection_chunk};
+use crate::detect::{detect_chunks, target_detection_chunk, DetectChunk, ScoreMap};
+use crate::frame::{BitMask, Frame};
 use crate::histogram::image_histogram;
 use crate::peak::peak_detection;
 use crate::synth::Scene;
@@ -34,21 +36,84 @@ pub struct KernelTimes {
     pub detect_chunk_fp4: Micros,
 }
 
-/// The fastest of `reps` runs: interference from the rest of the host only
-/// ever adds time, so the minimum is the estimate least disturbed by it —
-/// and kernels that take tens of microseconds are disturbed easily.
-fn time_it<R>(reps: u32, mut f: impl FnMut() -> R) -> Micros {
-    assert!(reps >= 1);
-    let mut fastest = Duration::MAX;
-    for _ in 0..reps {
-        let start = Instant::now();
-        std::hint::black_box(f());
-        fastest = fastest.min(start.elapsed());
-    }
-    Micros((fastest.as_micros() as u64).max(1))
+/// The time of one run, at least a microsecond.
+fn time_once<R>(f: impl FnOnce() -> R) -> Micros {
+    let start = Instant::now();
+    std::hint::black_box(f());
+    Micros((start.elapsed().as_micros() as u64).max(1))
 }
 
-/// Measure every kernel at each model count in `model_counts`.
+/// What the kernels of one model count run on.
+struct Inputs {
+    scene: Scene,
+    models: Vec<ColorHist>,
+    prev: Frame,
+    frame: Frame,
+    hist: ColorHist,
+    mask: BitMask,
+    scores: Vec<ScoreMap>,
+    chunk: DetectChunk,
+}
+
+impl Inputs {
+    fn new(width: usize, height: usize, n: u32) -> Inputs {
+        let scene = Scene::demo(width, height, n.max(1) as usize, 0xCA11B);
+        let models = scene.models()[..n as usize].to_vec();
+        let prev = scene.render(0);
+        let frame = scene.render(1);
+        let hist = image_histogram(&frame);
+        // T4 costs what its mask selects, so it is timed against the mask
+        // the pipeline would hand it, not an all-set one.
+        let mask = change_detection(&frame, Some(&prev), u16::from(DEFAULT_THRESHOLD));
+        let scores = target_detection(&frame, &hist, &models, &mask);
+        let chunk = detect_chunks(width, height, n as usize, 4, 1)[0];
+        Inputs {
+            scene,
+            models,
+            prev,
+            frame,
+            hist,
+            mask,
+            scores,
+            chunk,
+        }
+    }
+
+    /// Time every kernel once, keeping the fastest run in `t`.
+    fn time_into(&self, t: &mut KernelTimes) {
+        let keep = |slot: &mut Micros, m: Micros| *slot = (*slot).min(m);
+        let (frame, hist, mask) = (&self.frame, &self.hist, &self.mask);
+        let threshold = u16::from(DEFAULT_THRESHOLD);
+        keep(&mut t.digitize, time_once(|| self.scene.render(2)));
+        keep(&mut t.histogram, time_once(|| image_histogram(frame)));
+        keep(
+            &mut t.change,
+            time_once(|| change_detection(frame, Some(&self.prev), threshold)),
+        );
+        if self.models.is_empty() {
+            t.detect = Micros(1);
+            t.detect_chunk_fp4 = Micros(1);
+        } else {
+            let models = &self.models;
+            keep(
+                &mut t.detect,
+                time_once(|| target_detection(frame, hist, models, mask)),
+            );
+            keep(
+                &mut t.detect_chunk_fp4,
+                time_once(|| target_detection_chunk(frame, hist, models, mask, self.chunk)),
+            );
+        }
+        keep(&mut t.peak, time_once(|| peak_detection(&self.scores, 1.0)));
+    }
+}
+
+/// Measure every kernel at each model count in `model_counts`: the fastest
+/// of `reps` runs each. Interference from the rest of the host only ever
+/// adds time, so the minimum is the estimate least disturbed by it — and
+/// kernels that take tens of microseconds are disturbed easily. The model
+/// counts are compared with each other, so their repetitions are
+/// interleaved: a slow spell of the host lands on every count alike.
 #[must_use]
 pub fn measure_kernels(
     width: usize,
@@ -56,48 +121,30 @@ pub fn measure_kernels(
     model_counts: &[u32],
     reps: u32,
 ) -> Vec<KernelTimes> {
-    model_counts
+    assert!(reps >= 1);
+    let inputs: Vec<Inputs> = model_counts
         .iter()
-        .map(|&n| {
-            let scene = Scene::demo(width, height, n.max(1) as usize, 0xCA11B);
-            let models = scene.models();
-            let models = &models[..n as usize];
-            let prev = scene.render(0);
-            let frame = scene.render(1);
-            let digitize = time_it(reps, || scene.render(2));
-            let histogram = time_it(reps, || image_histogram(&frame));
-            let hist = image_histogram(&frame);
-            let threshold = u16::from(DEFAULT_THRESHOLD);
-            let change = time_it(reps, || change_detection(&frame, Some(&prev), threshold));
-            // T4 costs what its mask selects, so it is timed against the
-            // mask the pipeline would hand it, not an all-set one.
-            let mask = change_detection(&frame, Some(&prev), threshold);
-            let detect = if n == 0 {
-                Micros(1)
-            } else {
-                time_it(reps, || target_detection(&frame, &hist, models, &mask))
-            };
-            let scores = target_detection(&frame, &hist, models, &mask);
-            let peak = time_it(reps, || peak_detection(&scores, 1.0));
-            let detect_chunk_fp4 = if n == 0 {
-                Micros(1)
-            } else {
-                let chunk = detect_chunks(width, height, n as usize, 4, 1)[0];
-                time_it(reps, || {
-                    target_detection_chunk(&frame, &hist, models, &mask, chunk)
-                })
-            };
-            KernelTimes {
-                n_models: n,
-                digitize,
-                histogram,
-                change,
-                detect,
-                peak,
-                detect_chunk_fp4,
-            }
+        .map(|&n| Inputs::new(width, height, n))
+        .collect();
+    let slowest = Micros(u64::MAX);
+    let mut times: Vec<KernelTimes> = model_counts
+        .iter()
+        .map(|&n_models| KernelTimes {
+            n_models,
+            digitize: slowest,
+            histogram: slowest,
+            change: slowest,
+            detect: slowest,
+            peak: slowest,
+            detect_chunk_fp4: slowest,
         })
-        .collect()
+        .collect();
+    for _ in 0..reps {
+        for (t, input) in times.iter_mut().zip(&inputs) {
+            input.time_into(t);
+        }
+    }
+    times
 }
 
 /// Build a task graph with measured cost tables, structurally identical to
