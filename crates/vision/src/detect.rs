@@ -14,19 +14,32 @@
 //! evaluates that interpolation only at the pixels the change mask selects,
 //! so its cost is `O(masked pixels × models)` plus a box filter over the
 //! strip's masked rows; the only per-model-per-chunk set-up left is the
-//! ratio histogram itself (4,096 divisions). [`ratio_lut`] tabulates the
-//! same function over all `64³` colours; it and
-//! [`target_detection_chunk_scalar`] are the dense oracle the kernel is
-//! tested bit-identical against, not part of the frame path. On this host
-//! that means frame partitioning no longer loses to model partitioning at
-//! eight models (see the `table1` report): the set-up term that produced
-//! the paper's Table 1 crossover survives only in the paper-scale cost
-//! model (`taskgraph::builders::color_tracker`).
+//! ratio histogram itself (4,096 divisions). It runs a chunk's models
+//! together as lanes of `[f32; L]` (up to eight) over a `[cell][lane]` ratio
+//! grid: the mask is walked and a pixel's colour coordinates are looked up
+//! once per group, each interpolation corner is `L` contiguous floats, and
+//! one running sum per lane advances through the box filter at once. A
+//! one-model chunk is the `L = 1` case of the same body. Every lane keeps
+//! the scalar expression and operand order, so each is bit-identical to a
+//! model evaluated alone. [`ratio_lut`] tabulates the same function over
+//! all `64³` colours; it and [`target_detection_chunk_scalar`] are the dense
+//! oracle the kernel is tested bit-identical against, not part of the frame
+//! path.
 //!
 //! The joiner ([`join_partials`]) takes the partials by value: a partial
 //! that covers the whole frame becomes its model's [`ScoreMap`] without a
 //! copy, and row strips are copied in one block each, after a check that
-//! they tile every model's rows exactly once.
+//! they tile every model's rows exactly once. The row-0 strip can be
+//! written into a recycled plane ([`target_detection_chunk_reusing`],
+//! [`DetectChunk::lend_planes`]).
+//!
+//! Lanes favour wide chunks: an eight-lane chunk costs two to three times a
+//! one-lane one, not eight times. So frame partitioning beats model
+//! partitioning at eight models (the `table1` report read FP=4 : MP=8 at
+//! 0.62–0.97 on a 2-vCPU x86-64 host), and splitting eight models into
+//! one-lane chunks buys little or nothing over the serial eight-lane chunk.
+//! The set-up term that produced the paper's Table 1 crossover survives
+//! only in the paper-scale cost model (`taskgraph::builders::color_tracker`).
 //!
 //! The complementary vertical pass lives in T5 ([`crate::peak`]), keeping
 //! the separable smoothing exact under decomposition.
