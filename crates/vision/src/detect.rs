@@ -397,7 +397,6 @@ impl Strip<'_> {
         let mut data: [Vec<f32>; L] = std::array::from_fn(|_| match planes.pop() {
             Some(mut plane) => {
                 recycled = true;
-                plane.truncate(area);
                 plane.resize(area, 0.0);
                 plane
             }
