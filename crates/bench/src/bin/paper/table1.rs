@@ -20,8 +20,10 @@ use std::time::Instant;
 
 use kiosk_bench::{csv_line, exit_unless, print_checks, print_table};
 use taskgraph::{AppState, DataParallelSpec, Decomposition, Micros};
-use vision::detect::{join_partials, target_detection_chunk_reusing, DetectChunk, PartialScores};
-use vision::{detect_chunks, image_histogram, BitMask, ColorHist, Frame, Scene, ScoreMap};
+use vision::detect::{join_partials, DetectChunk, PartialScores};
+use vision::{
+    detect_chunks, image_histogram, target_detection_chunk, BitMask, ColorHist, Frame, Scene,
+};
 
 const WORKERS: usize = 4;
 const WIDTH: usize = 480;
@@ -36,9 +38,6 @@ struct Cell {
     chunks: Vec<DetectChunk>,
     chunk_secs: Vec<f64>,
     merge_secs: f64,
-    /// The planes of the cell's last frame, recycled into the next as T4
-    /// recycles them through its score-plane pool.
-    spare: Vec<Vec<f32>>,
 }
 
 impl Cell {
@@ -48,11 +47,10 @@ impl Cell {
             chunk_secs: vec![f64::INFINITY; chunks.len()],
             merge_secs: f64::INFINITY,
             chunks,
-            spare: Vec::new(),
         }
     }
 
-    /// Run every chunk and the merge once, as T4 runs them.
+    /// Run every chunk and the merge once.
     fn measure_once(
         &mut self,
         frame: &Frame,
@@ -62,16 +60,14 @@ impl Cell {
     ) {
         let mut partials: Vec<PartialScores> = Vec::new();
         for (secs, &chunk) in self.chunk_secs.iter_mut().zip(&self.chunks) {
-            let planes = chunk.lend_planes(&mut self.spare);
             let t0 = Instant::now();
-            let p = target_detection_chunk_reusing(frame, hist, models, mask, chunk, planes);
+            let p = target_detection_chunk(frame, hist, models, mask, chunk);
             *secs = secs.min(t0.elapsed().as_secs_f64());
             partials.extend(p);
         }
         let t0 = Instant::now();
-        let maps = std::hint::black_box(join_partials(WIDTH, HEIGHT, models.len(), partials));
+        std::hint::black_box(join_partials(WIDTH, HEIGHT, models.len(), partials));
         self.merge_secs = self.merge_secs.min(t0.elapsed().as_secs_f64());
-        self.spare = maps.into_iter().map(ScoreMap::into_data).collect();
     }
 
     /// Project the makespan on `WORKERS` processors by LPT packing of the

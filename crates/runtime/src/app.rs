@@ -12,7 +12,7 @@ use vision::{BackendKind, BitMask, ColorHist, Frame, ModelLocation, Scene, Score
 use crate::adapt::AdaptLoop;
 use crate::error::{RuntimeHealth, Stage};
 use crate::faults::FaultInjector;
-use crate::frame_pool::{BufPool, PoolStats, PooledFrame, PooledMask, PooledScores};
+use crate::frame_pool::{BufPool, PoolStats, PooledFrame, PooledMask};
 use crate::measure::Measurements;
 use crate::pool::{PoolHealth, PriorityClass, WorkerPool};
 use crate::regime_rt::RegimeController;
@@ -88,10 +88,9 @@ pub struct TrackerConfig {
     /// pool runs T4's detection chunks, the graph's only data-parallel
     /// task, and an attached adaptation loop's background re-searches.
     pub pool_workers: usize,
-    /// Recycle frame, mask and score-plane buffers through freelists so
-    /// steady-state execution allocates nothing per frame. Output is
-    /// bit-identical either way (producers overwrite recycled buffers
-    /// completely).
+    /// Recycle frame and mask buffers through freelists so steady-state
+    /// execution allocates nothing per frame. Output is bit-identical
+    /// either way (producers overwrite recycled buffers completely).
     pub recycle_buffers: bool,
     /// Peak detection threshold.
     pub min_score: f32,
@@ -170,10 +169,6 @@ pub struct SharedResources {
     pub frame_pool: Option<BufPool<Frame>>,
     /// Shared mask-buffer freelist (`None` disables recycling).
     pub mask_pool: Option<BufPool<BitMask>>,
-    /// Shared score-plane freelist: T5 dropping a frame's back projections
-    /// returns its planes, and T4 writes the next frame into them (`None`
-    /// disables recycling).
-    pub score_pool: Option<BufPool<Vec<ScoreMap>>>,
     /// This tenant's urgency flag: while `true`, the tenant's pool jobs ride
     /// the urgent lane (set by the fleet monitor when the tenant falls
     /// behind its deadline budget).
@@ -214,7 +209,6 @@ impl SharedResources {
             pool,
             frame_pool: cfg.recycle_buffers.then(|| BufPool::new(slots)),
             mask_pool: cfg.recycle_buffers.then(|| BufPool::new(slots)),
-            score_pool: cfg.recycle_buffers.then(|| BufPool::new(slots)),
             boost: Arc::default(),
             class: PriorityClass::default(),
             halt: Arc::default(),
@@ -255,7 +249,7 @@ struct AppChannels {
     frames: Channel<PooledFrame>,
     hist: Channel<ColorHist>,
     mask: Channel<PooledMask>,
-    scores: Channel<PooledScores>,
+    scores: Channel<Vec<ScoreMap>>,
     locations: Channel<Vec<ModelLocation>>,
 }
 
@@ -276,15 +270,17 @@ fn weigh_mask(m: &PooledMask) -> usize {
 
 /// Byte weigher of the "Back Projections" channel: one `f32` per pixel per
 /// model.
-fn weigh_scores(s: &PooledScores) -> usize {
+// `build_weighed` takes a `fn(&T) -> usize` where `T` is the channel payload
+// type (`Vec<ScoreMap>`), so a slice parameter would not match.
+#[allow(clippy::ptr_arg)]
+fn weigh_scores(s: &Vec<ScoreMap>) -> usize {
     s.iter()
         .map(|m| m.width * m.height * std::mem::size_of::<f32>())
         .sum()
 }
 
 /// Byte weigher of the "Model Locations" channel.
-// `build_weighed` takes a `fn(&T) -> usize` where `T` is the channel payload
-// type (`Vec<ModelLocation>`), so a slice parameter would not match.
+// Same `fn(&T) -> usize` pointer constraint as `weigh_scores`.
 #[allow(clippy::ptr_arg)]
 fn weigh_locations(l: &Vec<ModelLocation>) -> usize {
     l.len() * std::mem::size_of::<ModelLocation>()
@@ -367,7 +363,7 @@ impl TrackerApp {
         let mask: Channel<PooledMask> = ChannelBuilder::new("Motion Mask")
             .capacity(cap)
             .build_weighed(weigh_mask);
-        let scores: Channel<PooledScores> = ChannelBuilder::new("Back Projections")
+        let scores: Channel<Vec<ScoreMap>> = ChannelBuilder::new("Back Projections")
             .capacity(SCORES_CAPACITY)
             .build_weighed(weigh_scores);
         let locations: Channel<Vec<ModelLocation>> = ChannelBuilder::new("Model Locations")
@@ -475,12 +471,6 @@ impl TrackerApp {
     #[must_use]
     pub fn mask_pool_stats(&self) -> Option<PoolStats> {
         self.run.shared.mask_pool.as_ref().map(BufPool::stats)
-    }
-
-    /// Score-plane pool traffic, when recycling is on.
-    #[must_use]
-    pub fn score_pool_stats(&self) -> Option<PoolStats> {
-        self.run.shared.score_pool.as_ref().map(BufPool::stats)
     }
 
     /// The worker pool's lifetime load counters `(submitted, executed)`,
@@ -608,19 +598,6 @@ mod tests {
         for (i, t) in app.tasks.iter().enumerate() {
             assert_eq!(t.name(), g.task(taskgraph::TaskId(i)).name, "task {i}");
         }
-    }
-
-    #[test]
-    fn solo_set_up_makes_no_score_planes_and_only_its_workers() {
-        // Set-up adds one empty score-plane pool: T4's first takes make
-        // the planes, not the build.
-        let mut cfg = TrackerConfig::small(8, 4);
-        cfg.pool_workers = 2;
-        let app = TrackerApp::build(&cfg, None);
-        let planes = app.score_pool_stats().expect("buffers are recycled");
-        assert_eq!(planes, PoolStats::default(), "no plane made at build");
-        let pool = app.run.shared.pool.as_ref().expect("a pool is attached");
-        assert_eq!(pool.n_workers(), cfg.pool_workers);
     }
 
     #[test]

@@ -56,7 +56,7 @@ use cluster::ClusterSpec;
 use obs::{ChromeTrace, RegimeSpec};
 use parking_lot::{Condvar, Mutex};
 use taskgraph::{builders, AppState, TaskGraph, TaskId};
-use vision::{BitMask, Frame, Scene, ScoreMap};
+use vision::{BitMask, Frame, Scene};
 
 use crate::app::{SharedResources, TrackerApp, TrackerConfig};
 use crate::error::{HealthReport, Stage};
@@ -296,7 +296,6 @@ struct FleetInner {
     pool: Arc<WorkerPool<PoolJob>>,
     frame_pool: Option<BufPool<Frame>>,
     mask_pool: Option<BufPool<BitMask>>,
-    score_pool: Option<BufPool<Vec<ScoreMap>>>,
     cache: SharedScheduleCache,
     graph: TaskGraph,
     cluster: ClusterSpec,
@@ -397,7 +396,6 @@ impl FleetInner {
             pool: Some(Arc::clone(&self.pool)),
             frame_pool: self.frame_pool.clone(),
             mask_pool: self.mask_pool.clone(),
-            score_pool: self.score_pool.clone(),
             boost: Arc::clone(&boost),
             class: spec.class,
             halt: Arc::clone(&halt),
@@ -553,10 +551,12 @@ impl Fleet {
             // depends on the freelist being large enough.
             (cfg.base.channel_capacity + 2) * 4
         };
-        let recycle = cfg.base.recycle_buffers;
-        let frame_pool = recycle.then(|| BufPool::new(buf_slots));
-        let mask_pool = recycle.then(|| BufPool::new(buf_slots));
-        let score_pool = recycle.then(|| BufPool::new(buf_slots));
+        let (frame_pool, mask_pool): (Option<BufPool<Frame>>, Option<BufPool<BitMask>>) =
+            if cfg.base.recycle_buffers {
+                (Some(BufPool::new(buf_slots)), Some(BufPool::new(buf_slots)))
+            } else {
+                (None, None)
+            };
 
         // The cross-tenant schedule cache: this first table build searches,
         // every tenant's build is served from memory.
@@ -583,7 +583,6 @@ impl Fleet {
             pool,
             frame_pool,
             mask_pool,
-            score_pool,
             cache,
             graph,
             cluster,
@@ -1003,18 +1002,6 @@ mod tests {
         assert_eq!(run.cache_searches, cfg.regimes.len() as u64);
         assert_eq!(run.cache_hits, 3 * cfg.regimes.len() as u64);
         assert!(run.pool_executed > 0, "tenants multiplexed the shared pool");
-    }
-
-    #[test]
-    fn launch_makes_no_score_planes() {
-        let fleet = Fleet::launch(FleetConfig::small(2, 4));
-        let planes = fleet
-            .inner
-            .score_pool
-            .as_ref()
-            .expect("buffers are recycled");
-        assert_eq!(planes.stats().created, 0, "no plane made at launch");
-        let _ = fleet.finish();
     }
 
     #[test]

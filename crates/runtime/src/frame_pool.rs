@@ -1,8 +1,8 @@
 //! Buffer recycling for the per-frame data plane.
 //!
-//! Steady-state tracking allocates (and frees) a full RGB frame, a motion
-//! mask and a score plane per model every period — pure constant-factor
-//! overhead on the online path. A [`BufPool`] keeps returned buffers on a freelist; producers take a
+//! Steady-state tracking allocates (and frees) a full RGB frame and a motion
+//! mask every period — pure constant-factor overhead on the online path. A
+//! [`BufPool`] keeps returned buffers on a freelist; producers take a
 //! recycled buffer when one is idle and only allocate while the pipeline is
 //! still filling. Buffers travel through STM channels as [`Pooled`] handles
 //! and return to their pool automatically when the GC drops the last
@@ -11,12 +11,8 @@
 //!
 //! Correctness does not depend on buffer contents: every producer that
 //! recycles fills the buffer completely (`Scene::render_into` writes every
-//! pixel, `change_detection_into` writes every word, T4's chunks write
-//! every score of the planes they borrow), which is what keeps pooled
-//! output bit-identical to the allocating path.
-//!
-//! A pool starts empty and allocates nothing when it is built: buffers are
-//! made by the first takes and only kept once they come back.
+//! pixel, `change_detection_into` writes every word), which is what keeps
+//! pooled output bit-identical to the allocating path.
 
 use std::ops::{Deref, DerefMut};
 use std::sync::atomic::{AtomicU64, Ordering};
@@ -24,7 +20,7 @@ use std::sync::{Arc, Weak};
 
 use parking_lot::Mutex;
 
-use vision::{BitMask, Frame, ScoreMap};
+use vision::{BitMask, Frame};
 
 /// Counters describing a pool's traffic (all monotonic except via
 /// [`BufPool::stats`] snapshots).
@@ -70,7 +66,7 @@ impl<T> BufPool<T> {
     pub fn new(max_idle: usize) -> Self {
         BufPool {
             inner: Arc::new(PoolInner {
-                free: Mutex::new(Vec::new()),
+                free: Mutex::new(Vec::with_capacity(max_idle)),
                 max_idle,
                 created: AtomicU64::new(0),
                 reused: AtomicU64::new(0),
@@ -189,9 +185,6 @@ impl<T> Drop for Pooled<T> {
 pub type PooledFrame = Pooled<Frame>;
 /// A recyclable motion mask (the "Motion Mask" channel item type).
 pub type PooledMask = Pooled<BitMask>;
-/// Recyclable per-model score planes (the "Back Projections" channel item
-/// type).
-pub type PooledScores = Pooled<Vec<ScoreMap>>;
 
 #[cfg(test)]
 mod tests {

@@ -56,7 +56,7 @@ pub use exec_online::OnlineExecutor;
 pub use exec_scheduled::ScheduledExecutor;
 pub use faults::{FaultInjector, FaultPlan, InjectedCounts};
 pub use fleet::{run_fleet, Fleet, FleetConfig, FleetObs, FleetRun, TenantRollup, TenantRun};
-pub use frame_pool::{BufPool, PoolStats, Pooled, PooledFrame, PooledMask, PooledScores};
+pub use frame_pool::{BufPool, PoolStats, Pooled, PooledFrame, PooledMask};
 pub use lifecycle::{AttachOutcome, LifecycleState, TenantSpec};
 pub use measure::{Measurements, RunStats};
 pub use pool::{PoolClosed, PoolHealth, PriorityClass, WorkerPool};

@@ -35,7 +35,7 @@ use parking_lot::Mutex;
 use stm::{
     Channel, GetError, GetOk, InputConn, MissReason, OutputConn, PutError, Timestamp, TsSpec,
 };
-use vision::detect::{join_partials, target_detection_chunk_reusing, PartialScores};
+use vision::detect::{join_partials, PartialScores};
 use vision::peak::detected_count;
 use vision::{
     detect_chunks, peak_detection, target_detection_chunk, BitMask, ColorHist, ComputeBackend,
@@ -46,7 +46,7 @@ use crate::adapt::{AdaptLoop, CostFeed, ReschedJob};
 use crate::app::{SharedResources, TrackerConfig};
 use crate::error::{RuntimeError, RuntimeHealth, Stage};
 use crate::faults::FaultInjector;
-use crate::frame_pool::{Pooled, PooledFrame, PooledMask, PooledScores};
+use crate::frame_pool::{Pooled, PooledFrame, PooledMask};
 use crate::measure::Measurements;
 use crate::pool::{PoolClosed, WorkerPool};
 use crate::regime_rt::RegimeController;
@@ -869,9 +869,6 @@ pub struct ChunkJob {
     total: u16,
     /// Records a [`SpanKind::PoolChunk`] span on the worker thread.
     rec: Option<Recorder>,
-    /// Recycled score planes the chunk writes into
-    /// ([`DetectChunk::lend_planes`]).
-    planes: Vec<Vec<f32>>,
     reply: crossbeam::channel::Sender<(usize, Vec<PartialScores>)>,
 }
 
@@ -879,13 +876,12 @@ impl ChunkJob {
     /// Execute the chunk and send the partials back (the worker of Fig. 9).
     pub fn run(self) {
         let t0 = self.rec.as_ref().map(Recorder::now_ns);
-        let partials = target_detection_chunk_reusing(
+        let partials = target_detection_chunk(
             &self.frame,
             &self.hist,
             &self.models,
             &self.mask,
             self.chunk,
-            self.planes,
         );
         if let (Some(r), Some(t0)) = (&self.rec, t0) {
             let now = r.now_ns();
@@ -997,7 +993,7 @@ impl Detect {
 impl Kernel for Detect {
     type In = DetectInputs;
     type Partial = DetectPartial;
-    type Out = PooledScores;
+    type Out = Vec<ScoreMap>;
 
     fn fetch(
         &self,
@@ -1023,18 +1019,11 @@ impl Kernel for Detect {
     }
 
     /// One whole activation: splitter, workers (or serial), joiner.
-    fn compute(&self, ctx: &StageCtx, ts: Timestamp, inputs: &DetectInputs) -> PooledScores {
+    fn compute(&self, ctx: &StageCtx, ts: Timestamp, inputs: &DetectInputs) -> Vec<ScoreMap> {
         let (frame, hist, mask) = inputs;
         let (fp, mp) = self.current_decomp();
         ctx.rec_instant(SpanKind::Decomp, ts.0, Some((fp as u16, mp as u16)));
         let chunks = self.chunks((fp, mp));
-        // An earlier frame's planes, returned when T5 dropped them: the
-        // row-0 chunks write this frame's scores into them.
-        let mut planes = match &ctx.run.shared.score_pool {
-            Some(pool) => pool.take_or(Vec::new),
-            None => Pooled::unpooled(Vec::new()),
-        };
-        let mut spare: Vec<Vec<f32>> = planes.drain(..).map(ScoreMap::into_data).collect();
         let partials: Vec<PartialScores> = match (&ctx.run.shared.pool, chunks.len()) {
             (Some(pool), n) if n > 1 => {
                 let (tx, rx) = bounded(n);
@@ -1050,7 +1039,6 @@ impl Kernel for Detect {
                         ts: ts.0,
                         total: n as u16,
                         rec: rec.clone(),
-                        planes: c.lend_planes(&mut spare),
                         reply: tx.clone(),
                     });
                     ctx.submit_or_run(pool, job);
@@ -1086,14 +1074,10 @@ impl Kernel for Detect {
             }
             _ => chunks
                 .iter()
-                .flat_map(|c| {
-                    let planes = c.lend_planes(&mut spare);
-                    target_detection_chunk_reusing(frame, hist, &self.models, mask, *c, planes)
-                })
+                .flat_map(|&c| target_detection_chunk(frame, hist, &self.models, mask, c))
                 .collect(),
         };
-        *planes = join_partials(self.width, self.height, self.models.len(), partials);
-        planes
+        join_partials(self.width, self.height, self.models.len(), partials)
     }
 
     fn advance(&self, prefix: Timestamp) {
@@ -1112,7 +1096,7 @@ impl Kernel for Detect {
         ts: Timestamp,
         (idx, count): (u32, u32),
         input: Result<&DetectInputs, FrameFault>,
-    ) -> Option<Result<PooledScores, FrameFault>> {
+    ) -> Option<Result<Vec<ScoreMap>, FrameFault>> {
         let input = match input {
             Err(FrameFault::Stop) => return Some(Err(FrameFault::Stop)),
             input => input.ok(),
@@ -1157,12 +1141,12 @@ impl Kernel for Detect {
         Some(if join.abandoned {
             Err(FrameFault::Skip)
         } else {
-            Ok(Pooled::unpooled(join_partials(
+            Ok(join_partials(
                 self.width,
                 self.height,
                 self.models.len(),
                 join.partials,
-            )))
+            ))
         })
     }
 }
@@ -1173,12 +1157,12 @@ impl Kernel for Detect {
 
 /// T5: peak detection over the back projections → "Model Locations".
 pub(crate) struct Peak {
-    pub(crate) input: InputConn<PooledScores>,
+    pub(crate) input: InputConn<Vec<ScoreMap>>,
     pub(crate) min_score: f32,
 }
 
 impl Kernel for Peak {
-    type In = GetOk<PooledScores>;
+    type In = GetOk<Vec<ScoreMap>>;
     type Partial = ();
     type Out = Vec<ModelLocation>;
 

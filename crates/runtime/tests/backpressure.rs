@@ -63,11 +63,6 @@ fn back_projections_hold_one_item_under_a_saturated_crowd() {
     let (submitted, executed) = app.pool_load().expect("a pool is attached");
     assert_eq!(submitted, 120 * 2, "one job per T4 chunk");
     assert_eq!(executed, 120 * 2, "every job counted once the run is over");
-    // T4 takes one set of score planes a frame, and T5 hands them back:
-    // only the few sets in flight at once are ever made.
-    let planes = app.score_pool_stats().expect("buffers are recycled");
-    assert_eq!(planes.created + planes.reused, 120, "one take per frame");
-    assert!(planes.created <= 4, "score planes made: {planes:?}");
     assert!(app.health.report().is_clean(), "{}", app.health.report());
 }
 

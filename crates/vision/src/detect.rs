@@ -29,9 +29,7 @@
 //! The joiner ([`join_partials`]) takes the partials by value: a partial
 //! that covers the whole frame becomes its model's [`ScoreMap`] without a
 //! copy, and row strips are copied in one block each, after a check that
-//! they tile every model's rows exactly once. The row-0 strip can be
-//! written into a recycled plane ([`target_detection_chunk_reusing`],
-//! [`DetectChunk::lend_planes`]).
+//! they tile every model's rows exactly once.
 //!
 //! Lanes favour wide chunks: an eight-lane chunk costs two to three times a
 //! one-lane one, not eight times. So frame partitioning beats model
@@ -204,13 +202,6 @@ impl ScoreMap {
         self.data[y * self.width + x] = v;
     }
 
-    /// The row-major scores, giving the plane up (to be recycled as a
-    /// buffer [`target_detection_chunk_reusing`] writes into).
-    #[must_use]
-    pub fn into_data(self) -> Vec<f32> {
-        self.data
-    }
-
     /// One row as a slice.
     #[must_use]
     pub fn row(&self, y: usize) -> &[f32] {
@@ -242,19 +233,6 @@ pub struct DetectChunk {
     pub model_lo: usize,
     /// Last model index (exclusive).
     pub model_hi: usize,
-}
-
-impl DetectChunk {
-    /// The recycled planes this chunk may write into, taken from `spare`
-    /// (see [`target_detection_chunk_reusing`]). Only a strip that starts
-    /// at row 0 becomes its models' planes at the join ([`join_partials`]),
-    /// so only such a chunk borrows: one plane per model.
-    pub fn lend_planes(&self, spare: &mut Vec<Vec<f32>>) -> Vec<Vec<f32>> {
-        if self.region.y0 > 0 {
-            return Vec::new();
-        }
-        spare.split_off(spare.len().saturating_sub(self.model_hi - self.model_lo))
-    }
 }
 
 /// Partition the detection work into `fp × min(mp, n_models)` chunks — the
@@ -303,8 +281,12 @@ pub struct PartialScores {
 /// Execute one chunk (the worker of Fig. 9): for every model in range,
 /// back-project the strip's masked pixels and box-filter its rows. Per-model
 /// set-up is the model's ratio histogram; the back projection is
-/// proportional to the mask population, the filter to the strip area.
-/// Bit-identical to [`target_detection_chunk_scalar`].
+/// proportional to the mask population, the filter to the strip area. The
+/// chunk's models run as lane groups of up to eight, each group one pass
+/// over the strip: a pixel's colour coordinates are computed once per group,
+/// not once per model, and the box filter advances every lane's running sum
+/// together. A one-model chunk is the one-lane case. Bit-identical to
+/// [`target_detection_chunk_scalar`].
 #[must_use]
 pub fn target_detection_chunk(
     frame: &Frame,
@@ -312,25 +294,6 @@ pub fn target_detection_chunk(
     models: &[ColorHist],
     mask: &BitMask,
     chunk: DetectChunk,
-) -> Vec<PartialScores> {
-    target_detection_chunk_reusing(frame, image_hist, models, mask, chunk, Vec::new())
-}
-
-/// [`target_detection_chunk`] writing each model's rows into a buffer
-/// popped from `planes` (recycled score planes: any length, any contents —
-/// every element is overwritten) and allocating only once `planes` runs
-/// out. The chunk's models run as lane groups of up to eight, each group
-/// one pass over the strip: a pixel's colour coordinates are computed once
-/// per group, not once per model, and the box filter advances every lane's
-/// running sum together. A one-model chunk is the one-lane case.
-#[must_use]
-pub fn target_detection_chunk_reusing(
-    frame: &Frame,
-    image_hist: &ColorHist,
-    models: &[ColorHist],
-    mask: &BitMask,
-    chunk: DetectChunk,
-    mut planes: Vec<Vec<f32>>,
 ) -> Vec<PartialScores> {
     assert_eq!(
         chunk.region.width(),
@@ -350,17 +313,16 @@ pub fn target_detection_chunk_reusing(
     // At most eight lanes a group, so one corner read is 32 bytes; a wider
     // chunk runs as several groups.
     for (g, group) in models[lo..hi].chunks(8).enumerate() {
-        let first = lo + 8 * g;
-        let (planes, out) = (&mut planes, &mut out);
+        let (first, out) = (lo + 8 * g, &mut out);
         match group.len() {
-            1 => strip.detect::<1>(group, first, planes, out),
-            2 => strip.detect::<2>(group, first, planes, out),
-            3 => strip.detect::<3>(group, first, planes, out),
-            4 => strip.detect::<4>(group, first, planes, out),
-            5 => strip.detect::<5>(group, first, planes, out),
-            6 => strip.detect::<6>(group, first, planes, out),
-            7 => strip.detect::<7>(group, first, planes, out),
-            _ => strip.detect::<8>(group, first, planes, out),
+            1 => strip.detect::<1>(group, first, out),
+            2 => strip.detect::<2>(group, first, out),
+            3 => strip.detect::<3>(group, first, out),
+            4 => strip.detect::<4>(group, first, out),
+            5 => strip.detect::<5>(group, first, out),
+            6 => strip.detect::<6>(group, first, out),
+            7 => strip.detect::<7>(group, first, out),
+            _ => strip.detect::<8>(group, first, out),
         }
     }
     out
@@ -382,7 +344,6 @@ impl Strip<'_> {
         &self,
         group: &[ColorHist],
         first: usize,
-        planes: &mut Vec<Vec<f32>>,
         out: &mut Vec<PartialScores>,
     ) {
         let region = self.region;
@@ -390,18 +351,9 @@ impl Strip<'_> {
         let grid: Vec<[f32; L]> = (0..N_BINS)
             .map(|cell| std::array::from_fn(|l| group[l].ratio_bin(self.image_hist, cell)))
             .collect();
-        // A fresh plane is allocated zeroed, so a row with nothing masked
-        // keeps its zeros; a recycled one holds an earlier frame's scores
-        // (or anything at all) and has every such row cleared.
-        let mut recycled = false;
-        let mut data: [Vec<f32>; L] = std::array::from_fn(|_| match planes.pop() {
-            Some(mut plane) => {
-                recycled = true;
-                plane.resize(area, 0.0);
-                plane
-            }
-            None => vec![0.0; area],
-        });
+        // The planes start zeroed, so a row with nothing masked keeps its
+        // zeros: a running sum over zeros is +0.0 at every pixel.
+        let mut data: [Vec<f32>; L] = std::array::from_fn(|_| vec![0.0; area]);
         // One raw (unfiltered) row of every lane: all zeros whenever a row
         // starts, masked pixels written, filtered into the planes, zeroed
         // again.
@@ -418,11 +370,6 @@ impl Strip<'_> {
             if masked {
                 box_filter_row(&raw, &mut data, at);
                 raw.fill([0.0; L]);
-            } else if recycled {
-                // A running sum over zeros is +0.0 at every pixel.
-                for d in &mut data {
-                    d[at..at + w].fill(0.0);
-                }
             }
         }
         out.extend(data.into_iter().enumerate().map(|(l, data)| PartialScores {
@@ -801,23 +748,6 @@ mod tests {
             let merged = merge_partials(f.width, f.height, 2, &partials);
             assert_eq!(join_partials(f.width, f.height, 2, partials), merged);
             assert_eq!(merged, target_detection(&f, &hist, &models, &mask));
-        }
-    }
-
-    #[test]
-    fn recycled_planes_leave_no_trace() {
-        // Planes of the wrong length full of NaN: every score is rewritten.
-        let (f, hist, models, mask) = two_model_scene();
-        for chunk in detect_chunks(f.width, f.height, 2, 2, 1) {
-            let dirty = vec![vec![f32::NAN; 7], vec![f32::NAN; f.width * f.height + 9]];
-            let reused = target_detection_chunk_reusing(&f, &hist, &models, &mask, chunk, dirty);
-            let fresh = target_detection_chunk(&f, &hist, &models, &mask, chunk);
-            let bits = |ps: &[PartialScores]| -> Vec<Vec<u32>> {
-                ps.iter()
-                    .map(|p| p.data.iter().map(|v| v.to_bits()).collect())
-                    .collect()
-            };
-            assert_eq!(bits(&reused), bits(&fresh), "{chunk:?}");
         }
     }
 
