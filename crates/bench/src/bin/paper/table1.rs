@@ -177,16 +177,15 @@ pub fn run() {
     // pass per pixel serve up to eight models. Splitting the frame keeps
     // that sharing (four eight-lane strips); splitting the model set gives
     // it up (one-lane chunks, each paying the whole per-pixel walk). So
-    // FP=4 beats the serial eight-lane chunk, and 32 one-lane chunks on the
-    // same four processors cost more than FP=4's four eight-lane chunks. A
-    // one-lane chunk costs a third to a half of the eight-lane one, so
-    // MP=8's two rounds of them on four processors come out level with
-    // serial or somewhat ahead, by as much as the host's memory traffic
-    // moves from run to run: that ratio and FP=4 vs MP=8 are reported, not
-    // gated (the paper's crossover lives in the paper-scale cost model
-    // below). EXPERIMENTS.md "Table 1" gives each check's margin. A failed
-    // check does not end the report: every section runs, and the exit
-    // status covers them all.
+    // FP=4 and MP=8 each beat the serial eight-lane chunk, and 32 one-lane
+    // chunks on the same four processors cost more than FP=4's four
+    // eight-lane chunks. The MP=8 clause is the tight one: its two rounds
+    // of one-lane chunks beat serial only while a one-lane chunk costs
+    // under half the eight-lane one, and EXPERIMENTS.md "Table 1" records
+    // how near half that ratio sits, with each check's margin. FP=4 vs MP=8
+    // is reported, not gated (the paper's crossover lives in the
+    // paper-scale cost model below). A failed check does not end the
+    // report: every section runs, and the exit status covers them all.
     let g = |fp: usize, n: usize, mp: usize| measured[&(fp, n, mp)];
     let serial8 = g(1, 8, 1);
     println!(
@@ -202,7 +201,10 @@ pub fn run() {
     );
     let checks = [
         ("1 model: FP=4 beats FP=1", g(4, 1, 1) < g(1, 1, 1)),
-        ("8 models: FP=4 beats serial", g(4, 8, 1) < serial8),
+        (
+            "8 models: FP=4 and MP=8 each beat serial",
+            g(4, 8, 1) < serial8 && g(1, 8, 8) < serial8,
+        ),
         (
             "8 models: 32 one-lane chunks cost more than FP=4's four eight-lane chunks",
             g(4, 8, 8) > g(4, 8, 1),
