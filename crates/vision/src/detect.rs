@@ -34,9 +34,9 @@
 //! Lanes favour wide chunks: an eight-lane chunk costs two to three times a
 //! one-lane one, not eight times. So frame partitioning beats model
 //! partitioning at eight models (the `table1` report read FP=4 : MP=8 at
-//! 0.64–0.93 over 20 runs on a 2-vCPU x86-64 host), and splitting eight
-//! models into one-lane chunks buys little over the serial eight-lane
-//! chunk (MP=8 on four processors read 0.68–0.97 of serial in those runs).
+//! 0.64–0.93 over 35 runs on a 2-vCPU x86-64 host), and splitting eight
+//! models into one-lane chunks buys little or nothing over the serial
+//! eight-lane chunk (MP=8 on four processors read 0.68–1.15 of serial).
 //! The set-up term that produced the paper's Table 1 crossover survives
 //! only in the paper-scale cost model (`taskgraph::builders::color_tracker`).
 //!
