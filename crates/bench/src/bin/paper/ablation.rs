@@ -32,7 +32,7 @@ struct RegimeResult {
     ordering_ok: bool,
 }
 
-pub fn run() {
+pub(crate) fn run() {
     let graph = builders::color_tracker();
     let cluster = ClusterSpec::single_node(4);
     let t4 = graph.task_by_name("Target Detection").unwrap();

@@ -12,7 +12,7 @@ use cluster::{ClusterSpec, FrameClock, OnlineConfig};
 use kiosk_bench::{csv_line, print_table, run_checks};
 use taskgraph::{builders, AppState, Decomposition, Micros};
 
-pub fn run() {
+pub(crate) fn run() {
     let graph = builders::color_tracker();
     let cluster = ClusterSpec::single_node(4);
     let state = AppState::new(8);

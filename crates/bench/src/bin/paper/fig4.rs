@@ -8,7 +8,7 @@ use cluster::{render_gantt, simulate_online, ClusterSpec, FrameClock, GanttOptio
 use kiosk_bench::{csv_line, run_checks};
 use taskgraph::{builders, AppState, Micros};
 
-pub fn run() {
+pub(crate) fn run() {
     let graph = builders::color_tracker();
     let cluster = ClusterSpec::single_node(4);
     let state = AppState::new(2);

@@ -5,6 +5,8 @@
 //! report's stdout to `DIR/<report>.txt`. Every report except `table1`
 //! (which times real kernels) prints the same bytes on every run.
 
+#![warn(unreachable_pub)]
+
 mod ablation;
 mod fig3;
 mod fig4;

@@ -16,7 +16,7 @@ use cluster::ClusterSpec;
 use kiosk_bench::{csv_line, print_table, run_checks};
 use taskgraph::{builders, AppState, CommCosts};
 
-pub fn run() {
+pub(crate) fn run() {
     let graph = builders::color_tracker();
     let state = AppState::new(8);
     println!("Reproduction of the paper's §3.3 cluster strategy: 4 nodes x 4 processors, 8 models");

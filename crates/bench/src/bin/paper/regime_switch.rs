@@ -19,7 +19,7 @@ use taskgraph::{builders, AppState, Decomposition, Micros};
 use vision::kiosk::generate_visits;
 use vision::{occupancy_track, KioskConfig};
 
-pub fn run() {
+pub(crate) fn run() {
     let graph = builders::color_tracker();
     let cluster = ClusterSpec::single_node(4);
 

@@ -20,7 +20,7 @@ use taskgraph::{builders, AppState};
 
 const TRIALS: usize = 200;
 
-pub fn run() {
+pub(crate) fn run() {
     let graph = builders::color_tracker();
     let cluster = ClusterSpec::single_node(4);
     let state = AppState::new(4);

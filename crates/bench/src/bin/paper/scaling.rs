@@ -10,7 +10,7 @@ use cluster::ClusterSpec;
 use kiosk_bench::{csv_line, print_table, run_checks};
 use taskgraph::{builders, AppState};
 
-pub fn run() {
+pub(crate) fn run() {
     let graph = builders::color_tracker();
     println!("Optimal schedule scaling with processor count (color tracker)");
 

@@ -16,7 +16,7 @@ use taskgraph::{builders, AppState, Micros};
 use vision::kiosk::generate_visits;
 use vision::{occupancy_track, KioskConfig};
 
-pub fn run() {
+pub(crate) fn run() {
     let graph = builders::stereo_surveillance();
     let cluster = ClusterSpec::single_node(4);
     println!("Regime switching on the surveillance graph (application class cross-check)");

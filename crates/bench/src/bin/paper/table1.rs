@@ -90,7 +90,7 @@ impl Cell {
     }
 }
 
-pub fn run() {
+pub(crate) fn run() {
     println!(
         "Reproduction of Table 1 (SC 1999): target-detection latency under data decomposition"
     );

@@ -21,6 +21,7 @@
 //! reproducible.
 
 #![warn(missing_docs)]
+#![warn(unreachable_pub)]
 
 pub mod analysis;
 pub mod gantt;

@@ -35,6 +35,7 @@
 //! See `docs/ARCHITECTURE.md` for the full paper-to-code map.
 
 #![warn(missing_docs)]
+#![warn(unreachable_pub)]
 
 pub mod detector;
 pub mod evaluate;

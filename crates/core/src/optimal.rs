@@ -155,23 +155,23 @@ pub fn optimal_schedule(
 }
 
 /// [`optimal_schedule`] warm-started from a previous incumbent for the same
-/// regime — the re-search entry point of the online adaptation loop.
+/// regime, e.g. when re-searching a state whose costs were re-measured.
 ///
-/// The warm schedule's *placements* are not reused (the re-search exists
-/// precisely because measured costs drifted away from the model that
-/// produced them, so the old start times are stale), but two things carry
+/// The warm schedule's *placements* are not reused (a re-search under
+/// changed costs makes the old start times stale), but two things carry
 /// over:
 ///
 /// * the warm schedule's decomposition is searched **first**, ahead of the
-///   lower-bound ordering — under moderate drift the optimal decomposition
-///   rarely changes, so the best combo seeds the incumbent immediately;
+///   lower-bound ordering — under moderate cost changes the optimal
+///   decomposition rarely changes, so the best combo seeds the incumbent
+///   immediately;
 /// * its list-schedule latency is installed into the shared incumbent
 ///   *before* the fan-out starts, so every worker's dominated-combo prune
 ///   (`lb > incumbent`) bites from the very first queue pull instead of
 ///   only after some combo finishes seeding.
 ///
 /// A `warm` whose decomposition is not among the current combos (e.g. the
-/// drifted state clamps a variant away) degrades silently to a cold search.
+/// state clamps a variant away) degrades silently to a cold search.
 #[must_use]
 pub fn optimal_schedule_warm(
     graph: &TaskGraph,

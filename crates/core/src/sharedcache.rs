@@ -333,16 +333,6 @@ impl SharedScheduleCache {
         Some(Arc::clone(&entry.sched))
     }
 
-    /// Install a schedule computed elsewhere (e.g. a drift re-fit published
-    /// for neighbours), waking any tenants waiting on this key.
-    pub fn insert(&self, key: u64, sched: Arc<PipelinedSchedule>) {
-        let mut g = self.inner.lock();
-        g.pending.remove(&key);
-        g.map.insert(key, CachedEntry { sched });
-        drop(g);
-        self.ready.notify_all();
-    }
-
     /// Number of times the compute closure ran — i.e. true cache misses
     /// that reached the search (or disk) path.
     #[must_use]

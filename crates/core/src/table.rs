@@ -187,21 +187,6 @@ impl ScheduleTable {
         }
     }
 
-    /// Insert (or replace) the schedule for one state — the online
-    /// synthesis path of the adaptation loop: a regime the offline build
-    /// never anticipated is searched in the background and grafted into the
-    /// live table, so the clamp fallback stops being terminal. Returns the
-    /// schedule previously covering the state, if any.
-    pub fn insert(
-        &mut self,
-        state: AppState,
-        sched: PipelinedSchedule,
-    ) -> Option<PipelinedSchedule> {
-        self.entries
-            .insert(key(&state), (state, sched))
-            .map(|(_, p)| p)
-    }
-
     /// Exact lookup.
     #[must_use]
     pub fn get(&self, state: &AppState) -> Option<&PipelinedSchedule> {
@@ -295,21 +280,6 @@ mod tests {
         let near100 = t.get_nearest(&AppState::new(100));
         let at4 = t.get(&AppState::new(4)).unwrap();
         assert_eq!(near100.iteration.latency, at4.iteration.latency);
-    }
-
-    #[test]
-    fn insert_grafts_unanticipated_state() {
-        let g = builders::color_tracker();
-        let c = ClusterSpec::single_node(4);
-        let (_, mut t) = small_table();
-        assert!(t.get(&AppState::new(3)).is_none());
-        let r = optimal_schedule(&g, &c, &AppState::new(3), &OptimalConfig::default());
-        assert!(t.insert(AppState::new(3), r.best.clone()).is_none());
-        assert_eq!(t.len(), 4);
-        assert_eq!(t.get(&AppState::new(3)), Some(&r.best));
-        // Replacing returns the displaced schedule.
-        let old = t.insert(AppState::new(3), r.best.clone());
-        assert_eq!(old.as_ref(), Some(&r.best));
     }
 
     #[test]

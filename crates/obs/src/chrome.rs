@@ -216,13 +216,6 @@ impl ChromeTrace {
                     };
                     self.instant(&name, "regime", pid, tid, ts, Some(s.frame));
                 }
-                SpanKind::Resched => {
-                    let name = match s.chunk {
-                        Some((fp, mp)) => format!("resched swap FP={fp} MP={mp}"),
-                        None => "resched launch".to_string(),
-                    };
-                    self.instant(&name, "regime", pid, tid, ts, Some(s.frame));
-                }
             }
         }
     }

@@ -73,8 +73,7 @@ pub struct StageRow {
 /// (speed-up). The multiplicative symmetry makes an N× speed-up exactly as
 /// visible as an N× slow-down at any tolerance — the old additive rule
 /// `|ratio − 1| > tolerance` could never flag a speed-up once
-/// `tolerance ≥ 1`, leaving faster-than-modeled stages invisible to the
-/// adaptation loop.
+/// `tolerance ≥ 1`, leaving faster-than-modeled stages invisible.
 #[must_use]
 pub fn ratio_drifts(ratio: f64, tolerance: f64) -> bool {
     ratio > 1.0 + tolerance || ratio < 1.0 / (1.0 + tolerance)
@@ -164,47 +163,6 @@ fn median(mut v: Vec<f64>) -> f64 {
     }
     v.sort_by(|a, b| a.partial_cmp(b).unwrap_or(std::cmp::Ordering::Equal));
     v[v.len() / 2]
-}
-
-/// Median-calibrate a set of live per-stage cost measurements against
-/// their schedule predictions — the same math as [`check`]'s cost-drift
-/// pass, exposed for the online adaptation loop, which samples stage wall
-/// times continuously instead of reconstructing frames after the run.
-///
-/// `samples` holds `(stage index, predicted cost-model µs, measured mean
-/// wall ns)`; entries with a zero prediction or no data are skipped.
-/// Returns the calibration (wall ns per cost-model µs, the median of the
-/// measured/predicted ratios) and one [`StageRow`] per usable sample, with
-/// `drift` set where the calibrated ratio deviates from 1.0 beyond
-/// `tolerance` in either direction ([`ratio_drifts`] — slow-downs *and*
-/// speed-ups). With fewer than two usable samples the median is degenerate
-/// and every ratio is 1.0 by construction — callers should feed the whole
-/// stage vector, not one stage at a time.
-#[must_use]
-pub fn calibrate_stages(samples: &[(u8, u64, f64)], tolerance: f64) -> (f64, Vec<StageRow>) {
-    let usable: Vec<&(u8, u64, f64)> = samples
-        .iter()
-        .filter(|(_, p, m)| *p > 0 && *m > 0.0)
-        .collect();
-    let calibration = median(usable.iter().map(|(_, p, m)| m / *p as f64).collect());
-    let rows = usable
-        .into_iter()
-        .map(|&(stage, predicted_us, mean)| {
-            let ratio = if calibration > 0.0 {
-                mean / (predicted_us as f64 * calibration)
-            } else {
-                0.0
-            };
-            StageRow {
-                stage,
-                predicted_us,
-                measured_wall_ns_mean: mean,
-                ratio,
-                drift: calibration > 0.0 && ratio_drifts(ratio, tolerance),
-            }
-        })
-        .collect();
-    (calibration, rows)
 }
 
 /// Run the conformance check.
@@ -626,40 +584,29 @@ mod tests {
     }
 
     #[test]
-    fn calibrate_stages_matches_offline_checker() {
-        // The live-loop helper must agree with `check` on identical data:
-        // stages 1 and 2 on-model at 1000 ns/unit, stage 3 at 3x.
-        let samples = [
-            (1u8, 100u64, 100_000.0),
-            (2, 200, 200_000.0),
-            (3, 300, 900_000.0),
-        ];
-        let (cal, rows) = calibrate_stages(&samples, 0.5);
-        assert!((cal - 1_000.0).abs() < 1e-6, "median calibration: {cal}");
-        assert_eq!(rows.len(), 3);
-        assert!(!rows[0].drift && !rows[1].drift);
-        assert!(rows[2].drift, "stage 3 is 3x over: {rows:?}");
-        assert!((rows[2].ratio - 3.0).abs() < 1e-9);
-        // Zero predictions and empty measurements are skipped, not divided.
-        let (cal, rows) = calibrate_stages(&[(0, 0, 5.0), (1, 10, 0.0)], 0.5);
-        assert_eq!(cal, 0.0);
-        assert!(rows.is_empty());
-    }
-
-    #[test]
     fn speedups_drift_symmetrically_even_at_large_tolerance() {
         // Regression for the PR 6 caveat: with the additive rule
         // `|ratio − 1| > tolerance`, a speed-up could never fire once
         // tolerance ≥ 1 (ratios are bounded below by 0). Stage 3 runs 4×
         // *faster* than calibrated; at tolerance 1.0 the symmetric rule
         // flags it (0.25 < 1/2) while on-model stages stay quiet.
-        let samples = [
-            (1u8, 100u64, 100_000.0),
-            (2, 200, 200_000.0),
-            (3, 400, 100_000.0), // ratio 0.25: 4× faster than the model
-        ];
-        let (cal, rows) = calibrate_stages(&samples, 1.0);
+        let frames: Vec<FrameLife> = (0..10)
+            .map(|f| {
+                life(
+                    f,
+                    1_000_000,
+                    &[(1, 100_000), (2, 200_000), (3, 100_000)],
+                    Some((2, 1)),
+                )
+            })
+            .collect();
+        let mut sp = spec(1, (2, 1));
+        // Stage 3's ratio is 0.25: 4× faster than the model.
+        sp.stage_costs_us = vec![(1, 100), (2, 200), (3, 400)];
+        let report = check(&frames, &|_| 1, &[sp], &[], 1.0, &[]);
+        let cal = report.calibration_ns_per_us;
         assert!((cal - 1_000.0).abs() < 1e-6, "median calibration: {cal}");
+        let rows = &report.regimes[0].stages;
         assert!(!rows[0].drift && !rows[1].drift);
         assert!((rows[2].ratio - 0.25).abs() < 1e-9);
         assert!(rows[2].drift, "4× speed-up invisible at tolerance 1.0");

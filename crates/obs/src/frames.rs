@@ -105,11 +105,7 @@ pub fn reconstruct(dump: &SpanDump) -> Vec<FrameLife> {
                 e.0 = e.0.min(s.start_ns);
                 e.1 = e.1.max(s.end_ns());
             }
-            SpanKind::Get
-            | SpanKind::Put
-            | SpanKind::Join
-            | SpanKind::Switch
-            | SpanKind::Resched => {}
+            SpanKind::Get | SpanKind::Put | SpanKind::Join | SpanKind::Switch => {}
         }
     }
 

@@ -25,6 +25,7 @@
 //! `runtime` and `cluster` so the trace format has a single owner.
 
 #![warn(missing_docs)]
+#![warn(unreachable_pub)]
 #![forbid(unsafe_code)]
 
 pub mod chrome;
@@ -35,9 +36,7 @@ pub mod hist;
 pub mod span;
 
 pub use chrome::ChromeTrace;
-pub use conformance::{
-    calibrate_stages, ratio_drifts, ChannelCheck, ConformanceReport, RegimeSpec, StageRow,
-};
+pub use conformance::{ratio_drifts, ChannelCheck, ConformanceReport, RegimeSpec, StageRow};
 pub use diff::{diff, diff_ignoring_decomp, DiffReport, FrameDiff};
 pub use frames::{FrameLife, FrameOutcome, LifecycleStats};
 pub use hist::LogHist;

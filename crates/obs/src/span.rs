@@ -69,11 +69,6 @@ pub enum SpanKind {
     /// The `(FP, MP)` decomposition the splitter used for a frame
     /// (instant; carried in the chunk field).
     Decomp = 9,
-    /// An adaptation-loop event (instant): a drift-triggered re-search was
-    /// launched, or its result was atomically swapped in. `frame` is the
-    /// frame at which the event landed; the chunk field carries the new
-    /// `(FP, MP)` on a swap.
-    Resched = 10,
 }
 
 impl SpanKind {
@@ -89,7 +84,6 @@ impl SpanKind {
             7 => SpanKind::Skip,
             8 => SpanKind::Switch,
             9 => SpanKind::Decomp,
-            10 => SpanKind::Resched,
             _ => return None,
         })
     }

@@ -36,6 +36,7 @@
 //! side) and [`ReplaySource`] (replay side).
 
 #![warn(missing_docs)]
+#![warn(unreachable_pub)]
 #![forbid(unsafe_code)]
 
 pub mod format;

@@ -9,7 +9,6 @@ use obs::{ChannelCheck, Recorder, TraceMode};
 use stm::{Channel, ChannelBuilder};
 use vision::{BackendKind, BitMask, ColorHist, Frame, ModelLocation, Scene, ScoreMap};
 
-use crate::adapt::AdaptLoop;
 use crate::error::{RuntimeHealth, Stage};
 use crate::faults::FaultInjector;
 use crate::frame_pool::{BufPool, PoolStats, PooledFrame, PooledMask};
@@ -17,7 +16,7 @@ use crate::measure::Measurements;
 use crate::pool::{PoolHealth, PriorityClass, WorkerPool};
 use crate::regime_rt::RegimeController;
 use crate::tasks::{
-    Change, Detect, DigitizerTask, FaceTask, Histogram, Peak, PoolJob, RunCtx, StageCtx, TaskBody,
+    Change, ChunkJob, Detect, DigitizerTask, FaceTask, Histogram, Peak, RunCtx, StageCtx, TaskBody,
     Transform,
 };
 
@@ -86,7 +85,7 @@ pub struct TrackerConfig {
     pub decomposition: (u32, u32),
     /// Worker-pool size for online-mode data parallelism (0 = none). The
     /// pool runs T4's detection chunks, the graph's only data-parallel
-    /// task, and an attached adaptation loop's background re-searches.
+    /// task.
     pub pool_workers: usize,
     /// Recycle frame and mask buffers through freelists so steady-state
     /// execution allocates nothing per frame. Output is bit-identical
@@ -164,7 +163,7 @@ impl TrackerConfig {
 pub struct SharedResources {
     /// The worker pool T4's detection chunks are submitted to (`None` runs
     /// them inline).
-    pub pool: Option<Arc<WorkerPool<PoolJob>>>,
+    pub pool: Option<Arc<WorkerPool<ChunkJob>>>,
     /// Shared frame-buffer freelist (`None` disables recycling).
     pub frame_pool: Option<BufPool<Frame>>,
     /// Shared mask-buffer freelist (`None` disables recycling).
@@ -195,12 +194,12 @@ impl SharedResources {
             // catch_unwind, exactly where a real one would.
             Some(f) => {
                 let f = Arc::clone(f);
-                Arc::new(WorkerPool::new(cfg.pool_workers, move |job: PoolJob| {
+                Arc::new(WorkerPool::new(cfg.pool_workers, move |job: ChunkJob| {
                     f.maybe_panic_job();
                     job.run();
                 }))
             }
-            None => Arc::new(WorkerPool::new(cfg.pool_workers, PoolJob::run)),
+            None => Arc::new(WorkerPool::new(cfg.pool_workers, ChunkJob::run)),
         });
         // A few more idle slots than the channel can hold, so a drained
         // pipeline never discards buffers it is about to reuse.
@@ -228,9 +227,6 @@ pub struct TrackerApp {
     pub face: Arc<FaceTask>,
     /// The regime controller, when one was attached.
     pub controller: Option<Arc<RegimeController>>,
-    /// The adaptation loop, when one was attached (drift-triggered online
-    /// re-scheduling; see [`crate::adapt`]).
-    pub adapt: Option<Arc<AdaptLoop>>,
     /// The scene (for ground-truth checks in tests).
     pub scene: Scene,
     /// Number of frames this app will process.
@@ -303,18 +299,13 @@ impl TrackerApp {
         scene: Scene,
         controller: Option<Arc<RegimeController>>,
     ) -> TrackerApp {
-        Self::assemble(cfg, scene, controller, None, None)
+        Self::assemble(cfg, scene, controller, None)
     }
 
     /// Wire the tracker; every other constructor builds through this one.
     ///
     /// * `controller`, if given, drives T4's decomposition dynamically;
     ///   otherwise `cfg.decomposition` is fixed.
-    /// * `adapt` attaches an adaptation loop: every stage reports compute
-    ///   costs into the loop's feed, the sink drives its frame-boundary
-    ///   hook, background re-searches ride the worker pool, and swap/launch
-    ///   instants land on the trace. The loop should share `controller` —
-    ///   that is where its swaps are installed.
     /// * `shared` makes the app a fleet tenant: the worker pool, buffer
     ///   freelists, flags and class come from it (`cfg.pool_workers` and
     ///   `cfg.recycle_buffers` are then ignored). Without it the app builds
@@ -324,7 +315,6 @@ impl TrackerApp {
         cfg: &TrackerConfig,
         scene: Scene,
         controller: Option<Arc<RegimeController>>,
-        adapt: Option<Arc<AdaptLoop>>,
         shared: Option<&SharedResources>,
     ) -> TrackerApp {
         assert_eq!(
@@ -333,16 +323,8 @@ impl TrackerApp {
             "scene and config sizes must agree"
         );
         let shared = shared.map_or_else(|| SharedResources::solo(cfg), Clone::clone);
-        let run = Arc::new(RunCtx::new(cfg, shared, adapt.as_ref().map(|a| a.feed())));
+        let run = Arc::new(RunCtx::new(cfg, shared));
         let ctx = |stage| StageCtx::new(stage, &run);
-        if let Some(a) = &adapt {
-            if let Some(r) = &run.recorder {
-                a.attach_recorder(r.clone());
-            }
-            if let Some(p) = &run.shared.pool {
-                a.attach_pool(Arc::clone(p));
-            }
-        }
         if let Some(c) = &controller {
             c.attach_health(Arc::clone(&run.health));
             if let Some(r) = &run.recorder {
@@ -404,7 +386,6 @@ impl TrackerApp {
         let face = Arc::new(FaceTask::new(
             locations.attach_input(),
             controller.clone(),
-            adapt.clone(),
             ctx(Stage::Face),
         ));
         let tasks: Vec<Arc<dyn TaskBody>> = vec![
@@ -425,7 +406,6 @@ impl TrackerApp {
             measure: Arc::clone(&run.measure),
             face,
             controller,
-            adapt,
             scene,
             n_frames: cfg.n_frames,
             health: Arc::clone(&run.health),

@@ -9,7 +9,7 @@
 //! can then assert the run's health ledger equals the injected counts —
 //! fault-for-fault, not approximately.
 //!
-//! Four fault kinds, mirroring the stream-failure taxonomy of the adaptive
+//! Four fault kinds, mirroring the stream-failure taxonomy of the
 //! stream-scheduling literature (stragglers, task failures, misreported
 //! state):
 //!
@@ -41,7 +41,6 @@ use crate::error::Stage;
 enum Kind {
     Stm,
     Delay,
-    Slow,
 }
 
 /// A deterministic fault schedule. Build one by hand for targeted tests or
@@ -51,7 +50,6 @@ enum Kind {
 pub struct FaultPlan {
     stm_errors: BTreeSet<(Stage, u64)>,
     delays: BTreeMap<(Stage, u64), Duration>,
-    slows: BTreeMap<(Stage, u64), Duration>,
     panic_jobs: BTreeSet<u64>,
     misreads: BTreeMap<u64, u32>,
 }
@@ -75,28 +73,6 @@ impl FaultPlan {
     #[must_use]
     pub fn delay(mut self, stage: Stage, ts: u64, d: Duration) -> Self {
         self.delays.insert((stage, ts), d);
-        self
-    }
-
-    /// Stretch `stage`'s *compute* section by `d` at frame `ts`: the sleep
-    /// happens inside the measured stage-cost window, so it shows up as
-    /// genuine per-stage cost drift to the conformance checker and the
-    /// adaptation loop's cost feed — unlike [`delay`](Self::delay), which
-    /// fires before the stage's input gets and models a straggler *arrival*.
-    #[must_use]
-    pub fn slow(mut self, stage: Stage, ts: u64, d: Duration) -> Self {
-        self.slows.insert((stage, ts), d);
-        self
-    }
-
-    /// Sustained cost drift: [`slow`](Self::slow) applied to every frame in
-    /// `from..to`. Injected faults fire once per coordinate, so a drift
-    /// *window* needs one entry per frame — this is that loop.
-    #[must_use]
-    pub fn slow_window(mut self, stage: Stage, from: u64, to: u64, d: Duration) -> Self {
-        for ts in from..to {
-            self.slows.insert((stage, ts), d);
-        }
         self
     }
 
@@ -223,12 +199,6 @@ impl FaultPlan {
         self.delays.len() as u64
     }
 
-    /// Number of planned compute slowdowns.
-    #[must_use]
-    pub fn n_slows(&self) -> u64 {
-        self.slows.len() as u64
-    }
-
     /// Largest planned panic ordinal, if any (the run must submit more
     /// pool jobs than this for every planned panic to fire).
     #[must_use]
@@ -245,7 +215,6 @@ impl FaultPlan {
             fired: Mutex::new(BTreeSet::new()),
             injected_stm: AtomicU64::new(0),
             injected_delays: AtomicU64::new(0),
-            injected_slows: AtomicU64::new(0),
             injected_panics: AtomicU64::new(0),
             injected_misreads: AtomicU64::new(0),
         })
@@ -259,8 +228,6 @@ pub struct InjectedCounts {
     pub stm_errors: u64,
     /// Delays slept.
     pub delays: u64,
-    /// Compute slowdowns slept (cost-drift injection).
-    pub slows: u64,
     /// Worker-pool jobs panicked.
     pub panics: u64,
     /// Regime observations falsified.
@@ -277,7 +244,6 @@ pub struct FaultInjector {
     fired: Mutex<BTreeSet<(Kind, Stage, u64)>>,
     injected_stm: AtomicU64,
     injected_delays: AtomicU64,
-    injected_slows: AtomicU64,
     injected_panics: AtomicU64,
     injected_misreads: AtomicU64,
 }
@@ -303,18 +269,6 @@ impl FaultInjector {
         if let Some(&d) = self.plan.delays.get(&(stage, ts)) {
             if self.fire_once(Kind::Delay, stage, ts) {
                 self.injected_delays.fetch_add(1, Ordering::SeqCst);
-                std::thread::sleep(d);
-            }
-        }
-    }
-
-    /// Apply any planned compute slowdown for `stage` at frame `ts`
-    /// (sleeps inline inside the stage's measured compute window, once per
-    /// coordinate).
-    pub fn compute_slow(&self, stage: Stage, ts: u64) {
-        if let Some(&d) = self.plan.slows.get(&(stage, ts)) {
-            if self.fire_once(Kind::Slow, stage, ts) {
-                self.injected_slows.fetch_add(1, Ordering::SeqCst);
                 std::thread::sleep(d);
             }
         }
@@ -349,7 +303,6 @@ impl FaultInjector {
         InjectedCounts {
             stm_errors: self.injected_stm.load(Ordering::SeqCst),
             delays: self.injected_delays.load(Ordering::SeqCst),
-            slows: self.injected_slows.load(Ordering::SeqCst),
             panics: self.injected_panics.load(Ordering::SeqCst),
             misreads: self.injected_misreads.load(Ordering::SeqCst),
         }
@@ -391,22 +344,6 @@ mod tests {
         inj.delay(Stage::Detect, 1); // second call: no sleep
         assert!(t1.elapsed() < Duration::from_millis(5));
         assert_eq!(inj.injected().delays, 1);
-    }
-
-    #[test]
-    fn slows_sleep_once_per_window_frame() {
-        let inj = FaultPlan::new()
-            .slow_window(Stage::Change, 2, 4, Duration::from_millis(3))
-            .build();
-        assert_eq!(inj.plan().n_slows(), 2);
-        let t0 = std::time::Instant::now();
-        inj.compute_slow(Stage::Change, 2);
-        assert!(t0.elapsed() >= Duration::from_millis(3));
-        let t1 = std::time::Instant::now();
-        inj.compute_slow(Stage::Change, 2); // already fired
-        inj.compute_slow(Stage::Change, 9); // never planned
-        assert!(t1.elapsed() < Duration::from_millis(3));
-        assert_eq!(inj.injected().slows, 1);
     }
 
     #[test]

@@ -67,7 +67,7 @@ use crate::lifecycle::{self, AttachOutcome, LifecycleState, TenantSpec};
 use crate::measure::{Measurements, RunStats};
 use crate::pool::{PriorityClass, WorkerPool};
 use crate::regime_rt::RegimeController;
-use crate::tasks::PoolJob;
+use crate::tasks::ChunkJob;
 
 /// Configuration of a fleet run: one tracker template plus the fleet-level
 /// knobs (pool size, deadline budget, admission threshold, fairness and
@@ -293,7 +293,7 @@ struct TenantSlot {
 struct FleetInner {
     cfg: FleetConfig,
     workers: usize,
-    pool: Arc<WorkerPool<PoolJob>>,
+    pool: Arc<WorkerPool<ChunkJob>>,
     frame_pool: Option<BufPool<Frame>>,
     mask_pool: Option<BufPool<BitMask>>,
     cache: SharedScheduleCache,
@@ -401,7 +401,7 @@ impl FleetInner {
             halt: Arc::clone(&halt),
             shed: Arc::clone(&shed),
         };
-        let app = TrackerApp::assemble(&tcfg, scene, controller, None, Some(&shared));
+        let app = TrackerApp::assemble(&tcfg, scene, controller, Some(&shared));
         self.slots.lock()[idx].table = Some(tenant_table);
         self.live.lock().push(TenantLive {
             tenant: idx,
@@ -542,7 +542,7 @@ impl Fleet {
     #[must_use]
     pub fn launch(cfg: FleetConfig) -> Fleet {
         let workers = cfg.pool_workers.max(1);
-        let pool: Arc<WorkerPool<PoolJob>> = Arc::new(WorkerPool::new(workers, PoolJob::run));
+        let pool: Arc<WorkerPool<ChunkJob>> = Arc::new(WorkerPool::new(workers, ChunkJob::run));
         let buf_slots = if cfg.buf_slots > 0 {
             cfg.buf_slots
         } else {

@@ -33,8 +33,8 @@
 //! checking (see the `obs` crate).
 
 #![warn(missing_docs)]
+#![warn(unreachable_pub)]
 
-pub mod adapt;
 pub mod app;
 pub mod error;
 pub mod exec_online;
@@ -49,7 +49,6 @@ pub mod record;
 pub mod regime_rt;
 pub mod tasks;
 
-pub use adapt::{AdaptConfig, AdaptLoop, AdaptStats, CostFeed, ReschedJob, ReschedReason};
 pub use app::{SharedResources, TrackerApp, TrackerConfig};
 pub use error::{HealthReport, RuntimeError, RuntimeHealth, Stage};
 pub use exec_online::OnlineExecutor;
@@ -64,4 +63,4 @@ pub use record::{
     record_run, record_run_with_scene, replay_config, replay_run, RecordedRun, ReplayOutcome,
 };
 pub use regime_rt::{RegimeController, RegimeError, ReschedSwap};
-pub use tasks::{PoolJob, TaskBody};
+pub use tasks::{ChunkJob, TaskBody};

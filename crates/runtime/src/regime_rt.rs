@@ -7,18 +7,17 @@
 //! the precomputed table *clamps* to the nearest known regime (the §3.4
 //! table-lookup semantics — the table covers the constrained set of states,
 //! anything else maps to its closest listed neighbour), bumps a counter,
-//! emits a clamp instant into the trace, and parks the unknown state in a
-//! synthesis mailbox for the adaptation loop to re-search in the background
-//! (see [`crate::adapt`]); an empty table is a construction-time
-//! [`RegimeError`], not a live panic.
+//! and emits a clamp instant into the trace; an empty table is a
+//! construction-time [`RegimeError`], not a live panic. Schedules are
+//! searched offline (§3.4); at run time the controller only looks them up.
 //!
 //! ## Generation-counted swaps
 //!
-//! Since PR 6 the published decomposition is a single `AtomicU64` packing
+//! The published decomposition is a single `AtomicU64` packing
 //! `(generation, FP, MP)`: a reader (the splitter, once per frame) performs
 //! one load and can never observe a decomposition from one epoch paired
 //! with the generation of another. Writers — a confirmed regime switch from
-//! [`RegimeController::observe`], or a background re-search landing through
+//! [`RegimeController::observe`], or a table entry replaced through
 //! [`RegimeController::install_regime`] — bump the generation on every
 //! publish, so "frames observe exactly the old or the new schedule" is a
 //! property of the word layout, not of locking discipline. The swap ledger
@@ -87,12 +86,12 @@ pub struct ReschedSwap {
 
 /// Maps the detected people count to the decomposition the splitter should
 /// use, switching through a debounced detector, and accepting atomic
-/// mid-run schedule swaps from the adaptation loop.
+/// mid-run table swaps through [`install_regime`](Self::install_regime).
 pub struct RegimeController {
     detector: Mutex<RegimeDetector>,
-    /// Mutable since PR 6: the adaptation loop grafts synthesized regimes
-    /// in at run time. Locked only on switch confirmation and install —
-    /// never on the per-frame read path.
+    /// Mutable: [`install_regime`](Self::install_regime) replaces entries at
+    /// run time. Locked only on switch confirmation and install — never on
+    /// the per-frame read path.
     table: Mutex<BTreeMap<u32, (u32, u32)>>,
     /// The packed `(generation, FP, MP)` publication word.
     current: AtomicU64,
@@ -102,9 +101,6 @@ pub struct RegimeController {
     clamps: AtomicU64,
     swaps: AtomicU64,
     observations: AtomicU64,
-    /// Synthesis mailbox: `n + 1` of the most recent confirmed state with
-    /// no exact table entry, `0` when none is pending.
-    pending: AtomicU64,
     recorder: Mutex<Option<Recorder>>,
     health: Mutex<Option<Arc<RuntimeHealth>>>,
 }
@@ -131,13 +127,12 @@ impl RegimeController {
             clamps: AtomicU64::new(0),
             swaps: AtomicU64::new(0),
             observations: AtomicU64::new(0),
-            pending: AtomicU64::new(0),
             recorder: Mutex::new(None),
             health: Mutex::new(None),
         };
         let (fp, mp, clamped) = ctl.lookup(initial);
         if clamped {
-            ctl.note_clamp(initial);
+            ctl.note_clamp();
         }
         ctl.current.store(pack(0, fp, mp), Ordering::SeqCst);
         Ok(ctl)
@@ -186,28 +181,20 @@ impl RegimeController {
     fn lookup(&self, n: u32) -> (u32, u32, bool) {
         let table = self.table.lock();
         if let Some((_, &(fp, mp))) = table.range(..=n).next_back() {
-            // Nearest-at-or-below with no exact entry still counts as a
-            // synthesis candidate, but not as a clamp (historical
-            // semantics: clamps are undershoots below the whole table).
+            // Nearest-at-or-below is the table's own semantics, not a
+            // clamp: clamps are undershoots below the whole table.
             return (fp, mp, false);
         }
         let (fp, mp) = table.iter().next().map_or((1, 1), |(_, &d)| d);
         (fp, mp, true)
     }
 
-    /// Whether the table carries an exact entry for `n` models.
-    #[must_use]
-    pub fn has_regime(&self, n: u32) -> bool {
-        self.table.lock().contains_key(&n)
-    }
-
-    /// Count a clamp and park the unknown state for background synthesis.
-    fn note_clamp(&self, n: u32) {
+    /// Count a clamp, locally and in the attached health ledger.
+    fn note_clamp(&self) {
         self.clamps.fetch_add(1, Ordering::SeqCst);
         if let Some(h) = self.health.lock().as_ref() {
             h.record_regime_clamp();
         }
-        self.pending.store(u64::from(n) + 1, Ordering::SeqCst);
     }
 
     /// Publish a new `(FP, MP)` under a fresh generation; returns the new
@@ -243,9 +230,8 @@ impl RegimeController {
     /// Feed the per-frame observation (the peak detector's people count).
     /// Updates the active decomposition when a regime change is confirmed.
     /// A confirmed state outside the table clamps to the nearest known
-    /// regime instead of panicking (see [`clamps`](Self::clamps)), leaves a
-    /// clamp instant on the trace, and parks the state in the synthesis
-    /// mailbox ([`pending_synthesis`](Self::pending_synthesis)).
+    /// regime instead of panicking (see [`clamps`](Self::clamps)) and leaves
+    /// a clamp instant on the trace.
     pub fn observe(&self, detected: u32) {
         let ordinal = self.observations.fetch_add(1, Ordering::SeqCst);
         let mut det = self.detector.lock();
@@ -254,11 +240,7 @@ impl RegimeController {
             self.active_n.store(u64::from(n), Ordering::SeqCst);
             let (fp, mp, clamped) = self.lookup(n);
             if clamped {
-                self.note_clamp(n);
-            } else if !self.has_regime(n) {
-                // Covered by a smaller regime's schedule, but not exactly:
-                // also worth synthesizing, without counting as a clamp.
-                self.pending.store(u64::from(n) + 1, Ordering::SeqCst);
+                self.note_clamp();
             }
             self.publish(fp, mp);
             self.switches.fetch_add(1, Ordering::SeqCst);
@@ -277,13 +259,12 @@ impl RegimeController {
         }
     }
 
-    /// Atomically swap a re-searched regime into the live table: the
-    /// adaptation loop's landing point. Inserts (or replaces) the entry for
-    /// `n_models`, re-resolves the active regime against the updated table,
-    /// and republishes under a fresh generation — one atomic store, so
-    /// concurrent frame commits observe exactly the old or the new epoch,
-    /// never a mixture. Counts exactly one swap in the ledger per call and
-    /// clears a matching synthesis request.
+    /// Atomically swap a regime's decomposition into the live table.
+    /// Inserts (or replaces) the entry for `n_models`, re-resolves the
+    /// active regime against the updated table, and republishes under a
+    /// fresh generation — one atomic store, so concurrent frame commits
+    /// observe exactly the old or the new epoch, never a mixture. Counts
+    /// exactly one swap in the ledger per call.
     pub fn install_regime(&self, n_models: u32, fp: u32, mp: u32) -> ReschedSwap {
         let mut table = self.table.lock();
         table.insert(n_models, (fp, mp));
@@ -297,32 +278,10 @@ impl RegimeController {
         drop(table);
         let generation = self.publish(afp, amp);
         self.swaps.fetch_add(1, Ordering::SeqCst);
-        let _ = self.pending.compare_exchange(
-            u64::from(n_models) + 1,
-            0,
-            Ordering::SeqCst,
-            Ordering::SeqCst,
-        );
         ReschedSwap {
             generation,
             decomp: (afp, amp),
         }
-    }
-
-    /// The confirmed state awaiting background synthesis, if any.
-    #[must_use]
-    pub fn pending_synthesis(&self) -> Option<u32> {
-        match self.pending.load(Ordering::SeqCst) {
-            0 => None,
-            v => Some((v - 1) as u32),
-        }
-    }
-
-    /// Model count of the last confirmed regime (the state the adaptation
-    /// loop should re-search when costs drift).
-    #[must_use]
-    pub fn active_regime(&self) -> u32 {
-        self.active_n.load(Ordering::SeqCst) as u32
     }
 
     /// The decomposition the splitter should use right now.
@@ -352,7 +311,8 @@ impl RegimeController {
         self.clamps.load(Ordering::SeqCst)
     }
 
-    /// Re-searched schedules atomically swapped in by the adaptation loop.
+    /// Table entries atomically swapped in by
+    /// [`install_regime`](Self::install_regime).
     #[must_use]
     pub fn swaps(&self) -> u64 {
         self.swaps.load(Ordering::SeqCst)
@@ -422,19 +382,16 @@ mod tests {
     fn out_of_table_state_clamps_to_nearest_regime() {
         // Table starts at 1: an observed state of 0 lies below every listed
         // regime. The old `expect` is gone — the controller clamps to the
-        // smallest entry, counts the clamp, and parks the state for
-        // background synthesis.
+        // smallest entry and counts the clamp.
         let mut t = BTreeMap::new();
         t.insert(1, (4, 1));
         t.insert(2, (1, 8));
         let c = RegimeController::new(1, 1, t).unwrap();
         assert_eq!(c.clamps(), 0);
-        assert_eq!(c.pending_synthesis(), None);
         c.observe(0); // confirm_after = 1: switches immediately
         assert_eq!(c.current_decomp(), (4, 1), "clamped to the smallest regime");
         assert_eq!(c.switches(), 1);
         assert_eq!(c.clamps(), 1);
-        assert_eq!(c.pending_synthesis(), Some(0), "clamp requests synthesis");
     }
 
     #[test]
@@ -479,7 +436,7 @@ mod tests {
     }
 
     #[test]
-    fn install_regime_swaps_generation_and_clears_pending() {
+    fn install_regime_swaps_generation() {
         let mut t = BTreeMap::new();
         t.insert(1, (4, 1));
         let c = RegimeController::new(1, 1, t).unwrap();
@@ -487,19 +444,16 @@ mod tests {
         assert_eq!(d0, (4, 1));
 
         // A confirmed out-of-table state above the table: nearest-below
-        // covers it (no clamp) but requests synthesis.
+        // covers it, which is not a clamp.
         c.observe(3);
         assert_eq!(c.clamps(), 0);
-        assert_eq!(c.pending_synthesis(), Some(3));
 
-        // The background search lands: the active regime (3) now resolves
-        // to the synthesized entry, under a fresh generation.
+        // An entry for 3 lands: the active regime (3) now resolves to it,
+        // under a fresh generation.
         let swap = c.install_regime(3, 2, 2);
         assert_eq!(swap.decomp, (2, 2));
         assert_eq!(c.current_decomp(), (2, 2));
         assert_eq!(c.swaps(), 1);
-        assert_eq!(c.pending_synthesis(), None, "install clears the request");
-        assert!(c.has_regime(3));
         let (_, g1) = c.decomp_generation();
         assert!(g1 > g0, "swap must bump the generation");
 
@@ -515,7 +469,7 @@ mod tests {
         // A writer swaps generations while readers hammer the packed word:
         // every observed (generation, decomp) pair must be one the writer
         // actually published. This is the cheap unit-level version of the
-        // proptest in tests/adapt_swap.rs.
+        // proptest in tests/regime_swap.rs.
         let mut t = BTreeMap::new();
         t.insert(1, (1, 1));
         let c = Arc::new(RegimeController::new(1, 1, t).unwrap());

@@ -42,7 +42,6 @@ use vision::{
     DetectChunk, Frame, ModelLocation, ScoreMap,
 };
 
-use crate::adapt::{AdaptLoop, CostFeed, ReschedJob};
 use crate::app::{SharedResources, TrackerConfig};
 use crate::error::{RuntimeError, RuntimeHealth, Stage};
 use crate::faults::FaultInjector;
@@ -74,8 +73,8 @@ const DEFAULT_FAULT_DEADLINE: Duration = Duration::from_millis(400);
 /// The run-wide handles every stage of one app shares, built once per app:
 /// the health ledger, the measurement store, the deadline budget, the
 /// fault injector, the span recorder, the compute backend, the
-/// record/replay tap, the adaptation loop's cost feed, and the app's
-/// [`SharedResources`] (pool, freelists, boost/halt/shed flags, class).
+/// record/replay tap, and the app's [`SharedResources`] (pool, freelists,
+/// boost/halt/shed flags, class).
 pub(crate) struct RunCtx {
     pub(crate) health: Arc<RuntimeHealth>,
     pub(crate) measure: Arc<Measurements>,
@@ -93,19 +92,12 @@ pub(crate) struct RunCtx {
     /// rides the same funnel the recorder does, so the recording is exact
     /// by construction — there is no second code path to drift.
     tap: Option<Arc<replay::RecordTap>>,
-    /// The adaptation loop's per-stage cost feed: every compute section
-    /// reports its wall time into it.
-    feed: Option<Arc<CostFeed>>,
     pub(crate) shared: SharedResources,
 }
 
 impl RunCtx {
     /// The run context of an app configured by `cfg`, over `shared`.
-    pub(crate) fn new(
-        cfg: &TrackerConfig,
-        shared: SharedResources,
-        feed: Option<Arc<CostFeed>>,
-    ) -> Self {
+    pub(crate) fn new(cfg: &TrackerConfig, shared: SharedResources) -> Self {
         let health = Arc::new(RuntimeHealth::default());
         let measure = Arc::new(
             Measurements::new(cfg.n_frames as usize)
@@ -125,7 +117,6 @@ impl RunCtx {
             recorder: cfg.trace.map(|mode| Recorder::new(mode, Stage::names())),
             backend: cfg.backend.get(),
             tap: cfg.record.clone(),
-            feed,
             shared,
         }
     }
@@ -162,7 +153,7 @@ impl StageCtx {
     /// outranks the class) or the standing priority class, and run it
     /// inline when the pool is closed (shutdown race: correctness over
     /// parallelism).
-    fn submit_or_run(&self, pool: &WorkerPool<PoolJob>, job: PoolJob) {
+    fn submit_or_run(&self, pool: &WorkerPool<ChunkJob>, job: ChunkJob) {
         let shared = &self.run.shared;
         let res = if shared.boost.load(Ordering::Relaxed) {
             pool.submit_urgent(job)
@@ -251,23 +242,11 @@ impl StageCtx {
         }
     }
 
-    /// Run `work` as frame `ts`'s compute section: any injected compute
-    /// slowdown (the cost-drift fault) lands inside it, its wall time goes
-    /// into the adaptation loop's cost feed, and it is recorded as the
-    /// stage's `Compute` span.
+    /// Run `work` as frame `ts`'s compute section, recorded as the stage's
+    /// `Compute` span.
     fn compute<R>(&self, ts: Timestamp, work: impl FnOnce() -> R) -> R {
         let t0 = self.rec_now();
-        // Clock first, sleep second: the injected slowdown models the stage
-        // genuinely getting slower, so the feed must measure it.
-        let c0 = self.run.feed.as_ref().map(|_| Instant::now());
-        if let Some(f) = &self.run.faults {
-            f.compute_slow(self.stage, ts.0);
-        }
         let out = work();
-        if let (Some(feed), Some(c0)) = (&self.run.feed, c0) {
-            let ns = u64::try_from(c0.elapsed().as_nanos()).unwrap_or(u64::MAX);
-            feed.record(self.stage.index() as usize, ns);
-        }
         self.rec_span(SpanKind::Compute, ts.0, None, t0);
         out
     }
@@ -410,7 +389,7 @@ struct CursorInner {
 impl SharedCursor {
     /// Mark `ts` complete; returns the new contiguous prefix end (all
     /// timestamps below it are complete).
-    pub fn commit(&self, ts: u64) -> u64 {
+    pub(crate) fn commit(&self, ts: u64) -> u64 {
         let mut g = self.inner.lock();
         g.pending.insert(ts);
         loop {
@@ -437,7 +416,7 @@ pub(crate) struct CloseGate {
 
 impl CloseGate {
     /// Record that instance `ts` found the input stream closed.
-    pub fn mark_closed(&self, ts: u64) {
+    pub(crate) fn mark_closed(&self, ts: u64) {
         let mut g = self.closed_at.lock();
         *g = Some(g.map_or(ts, |c| c.min(ts)));
     }
@@ -445,7 +424,7 @@ impl CloseGate {
     /// Whether the output should close, given the contiguous prefix of
     /// finished instances.
     #[must_use]
-    pub fn should_close(&self, prefix: u64) -> bool {
+    pub(crate) fn should_close(&self, prefix: u64) -> bool {
         self.closed_at.lock().is_some_and(|c| prefix > c)
     }
 }
@@ -856,7 +835,8 @@ impl Kernel for Change {
 /// The three per-frame inputs of target detection.
 pub(crate) type DetectInputs = (Arc<PooledFrame>, Arc<ColorHist>, Arc<PooledMask>);
 
-/// One unit of work farmed to the worker pool in online mode.
+/// One unit of work farmed to the worker pool in online mode: one T4
+/// detection chunk, the pool's only job type.
 pub struct ChunkJob {
     frame: Arc<PooledFrame>,
     hist: Arc<ColorHist>,
@@ -896,28 +876,6 @@ impl ChunkJob {
         }
         // The joiner may already have given up (executor shutdown).
         let _ = self.reply.send((self.idx, partials));
-    }
-}
-
-/// The job type of the shared worker pool: T4's detection chunks and the
-/// adaptation loop's background re-searches ride the same workers, so one
-/// pool serves every off-frame-path consumer.
-pub enum PoolJob {
-    /// A T4 detection chunk.
-    Detect(ChunkJob),
-    /// A drift- or synthesis-triggered schedule re-search (boxed: it
-    /// carries a whole task graph and cluster spec, and must not bloat the
-    /// per-chunk variant the hot path allocates).
-    Resched(Box<ReschedJob>),
-}
-
-impl PoolJob {
-    /// Execute the job (the worker body of Fig. 9).
-    pub fn run(self) {
-        match self {
-            PoolJob::Detect(j) => j.run(),
-            PoolJob::Resched(j) => j.run(),
-        }
     }
 }
 
@@ -1029,7 +987,7 @@ impl Kernel for Detect {
                 let (tx, rx) = bounded(n);
                 let rec = ctx.recorder();
                 for (idx, &c) in chunks.iter().enumerate() {
-                    let job = PoolJob::Detect(ChunkJob {
+                    let job = ChunkJob {
                         frame: Arc::clone(frame),
                         hist: Arc::clone(hist),
                         mask: Arc::clone(mask),
@@ -1040,7 +998,7 @@ impl Kernel for Detect {
                         total: n as u16,
                         rec: rec.clone(),
                         reply: tx.clone(),
-                    });
+                    };
                     ctx.submit_or_run(pool, job);
                 }
                 drop(tx);
@@ -1191,10 +1149,6 @@ impl Kernel for Peak {
 pub struct FaceTask {
     input: InputConn<Vec<ModelLocation>>,
     controller: Option<Arc<RegimeController>>,
-    /// The adaptation loop this sink drives: its frame-boundary hook runs
-    /// after every frame the sink settles — the "between frames" moment
-    /// swaps are allowed to land.
-    adapt: Option<Arc<AdaptLoop>>,
     ctx: StageCtx,
     log: Mutex<Vec<(u64, Vec<ModelLocation>)>>,
     cursor: SharedCursor,
@@ -1205,13 +1159,11 @@ impl FaceTask {
     pub(crate) fn new(
         input: InputConn<Vec<ModelLocation>>,
         controller: Option<Arc<RegimeController>>,
-        adapt: Option<Arc<AdaptLoop>>,
         ctx: StageCtx,
     ) -> Self {
         FaceTask {
             input,
             controller,
-            adapt,
             ctx,
             log: Mutex::new(Vec::new()),
             cursor: SharedCursor::default(),
@@ -1251,11 +1203,6 @@ impl TaskBody for FaceTask {
             Err(FrameFault::Skip) => {
                 let prefix = self.cursor.commit(ts.0);
                 self.input.advance_frontier(Timestamp(prefix));
-                // A skipped frame is settled too: the adaptation loop keeps
-                // draining finished searches even under heavy degradation.
-                if let Some(a) = &self.adapt {
-                    a.on_frame(ts.0);
-                }
                 return Ok(());
             }
         };
@@ -1271,12 +1218,6 @@ impl TaskBody for FaceTask {
         self.log.lock().push((ts.0, (*locs.value).clone()));
         let prefix = self.cursor.commit(ts.0);
         self.input.advance_frontier(Timestamp(prefix));
-        // The frame-boundary hook of the adaptation loop: this frame is
-        // fully settled, so a re-searched schedule may swap in *now* —
-        // never mid-frame.
-        if let Some(a) = &self.adapt {
-            a.on_frame(ts.0);
-        }
         Ok(())
     }
 }
@@ -1289,7 +1230,7 @@ mod tests {
 
     /// Stage `stage`'s context in a solo run configured by `cfg`.
     fn stage_ctx(stage: Stage, cfg: &TrackerConfig) -> StageCtx {
-        let run = Arc::new(RunCtx::new(cfg, SharedResources::solo(cfg), None));
+        let run = Arc::new(RunCtx::new(cfg, SharedResources::solo(cfg)));
         StageCtx::new(stage, &run)
     }
 

@@ -46,6 +46,7 @@
 //! ```
 
 #![warn(missing_docs)]
+#![warn(unreachable_pub)]
 
 mod channel;
 mod connection;

@@ -113,7 +113,7 @@ impl GraphAnalysis {
 /// Kahn topological sort with deterministic (task-id) tie-breaking. Returns
 /// fewer than `n_tasks` entries if the graph is cyclic.
 #[must_use]
-pub fn topo_sort(graph: &TaskGraph) -> Vec<TaskId> {
+pub(crate) fn topo_sort(graph: &TaskGraph) -> Vec<TaskId> {
     let mut indeg = vec![0usize; graph.n_tasks()];
     for (_, to, _) in graph.edges() {
         indeg[to.0] += 1;

@@ -120,37 +120,6 @@ impl TaskGraph {
         (0..self.tasks.len()).map(TaskId)
     }
 
-    /// A copy of this graph with `task`'s execution-time model scaled by
-    /// the rational `num/den` — the cost-feedback seam of the online
-    /// adaptation loop: when measured wall time shows a stage running at,
-    /// say, 2.1× its modeled cost, the re-search runs against a graph whose
-    /// cost for that task is scaled by the measured ratio, so the new
-    /// schedule reflects reality rather than the stale model.
-    ///
-    /// Scaling is integer (`cost * num / den`, per model component) so the
-    /// result stays exact for the simulator and the branch-and-bound.
-    ///
-    /// # Panics
-    /// Panics if `den` is zero.
-    #[must_use]
-    pub fn with_scaled_cost(&self, task: TaskId, num: u64, den: u64) -> TaskGraph {
-        assert!(den > 0, "scale denominator must be non-zero");
-        let scale = |m: Micros| Micros((m.0.saturating_mul(num)) / den);
-        let mut g = self.clone();
-        let t = &mut g.tasks[task.0];
-        t.cost = match &t.cost {
-            CostModel::Const(c) => CostModel::Const(scale(*c)),
-            CostModel::PerModel { base, per_model } => CostModel::PerModel {
-                base: scale(*base),
-                per_model: scale(*per_model),
-            },
-            CostModel::Table(entries) => {
-                CostModel::Table(entries.iter().map(|&(n, c)| (n, scale(c))).collect())
-            }
-        };
-        g
-    }
-
     /// Dependence edges `(producer, consumer, channel)` of the per-iteration
     /// DAG: one edge per (channel, consumer) pair.
     #[must_use]

@@ -27,6 +27,7 @@
 //! ```
 
 #![warn(missing_docs)]
+#![warn(unreachable_pub)]
 
 mod analysis;
 pub mod builders;

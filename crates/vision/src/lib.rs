@@ -33,8 +33,8 @@
 //! ```
 
 #![warn(missing_docs)]
+#![warn(unreachable_pub)]
 
-pub mod accuracy;
 pub mod adaptive;
 pub mod backend;
 pub mod calibrate;
@@ -50,7 +50,6 @@ pub(crate) mod simd;
 pub mod synth;
 pub mod tracker;
 
-pub use accuracy::{AccuracyStats, AccuracyTracker};
 pub use adaptive::AdaptiveTracker;
 pub use backend::{active, BackendKind, ComputeBackend};
 pub use change::{change_detection, change_detection_into, change_detection_scalar};
