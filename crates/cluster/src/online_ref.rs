@@ -5,15 +5,12 @@
 //! ready queue and trace, `HashMap` lookups keyed by `(task, frame)` /
 //! `(channel, frame)` on every event, per-activation `Vec` clones of input
 //! and output channel lists, and unconditional full trace recording. It is
-//! kept in-tree — following the data-path overhaul's precedent — for two
-//! jobs:
-//!
-//! * **oracle**: equivalence tests assert the overhauled engine reproduces
-//!   this one bit for bit (trace, frames, metrics, makespan) across serial,
-//!   data-parallel, preemptive, frame-skipping and dynamic-state runs;
-//! * **honest benchmarking**: the `sweep` bench bin times this path as its
-//!   "before", so the recorded speedup measures the overhaul, not hardware
-//!   drift.
+//! kept in-tree — following the data-path overhaul's precedent — as an
+//! **oracle**: equivalence tests assert the overhauled engine reproduces
+//! this one bit for bit (trace, frames, metrics, makespan) across serial,
+//! data-parallel, preemptive, frame-skipping and dynamic-state runs. Timed
+//! beside it on the same host, it is also the "before" of the overhaul's
+//! speedup, free of hardware drift; no benchmark times it today.
 //!
 //! Do not extend this module; new simulator features belong in
 //! [`crate::online`], with this file untouched as the historical baseline.

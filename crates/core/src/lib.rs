@@ -67,9 +67,7 @@ pub use persist::{
 };
 pub use pipeline::naive_pipeline;
 pub use schedule::{IterationSchedule, PipelinedSchedule, Placement, StagePrediction};
-pub use sharedcache::{
-    CollectionStrategy, GcMap, LruStrategy, SharedScheduleCache, TrackableValue,
-};
+pub use sharedcache::SharedScheduleCache;
 pub use switcher::{simulate_regime_switched, SwitchConfig, TransitionPolicy};
 pub use table::{ScheduleTable, TableBuildStats};
 pub use tuning::{tuning_curve, TuningPoint};

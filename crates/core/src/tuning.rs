@@ -34,7 +34,7 @@ pub fn tuning_curve(
 }
 
 /// [`tuning_curve`] with explicit sweep control, also returning the sweep's
-/// wall-clock stats (for the bench bins' runs/sec reporting).
+/// wall-clock stats (for `paper fig3`'s sweep wall-clock lines on stderr).
 #[must_use]
 pub fn tuning_curve_stats(
     graph: &TaskGraph,

@@ -3,8 +3,9 @@
 //! `chrome://tracing` or <https://ui.perfetto.dev>).
 //!
 //! The emitter is hand-rolled (no serde in the tree) and the companion
-//! [`validate`] function is a minimal JSON parser used by `obsreport` and
-//! CI to prove the artifact is well-formed with monotone timestamps.
+//! [`validate`] function is a minimal JSON parser used by the determinism
+//! and fleet tests and the benchmark's traced runs to prove the artifact is
+//! well-formed with monotone timestamps.
 
 use crate::span::{SpanDump, SpanKind};
 

@@ -422,8 +422,8 @@ impl TrackerApp {
         }
     }
 
-    /// The shared worker pool's fault ledger (panics contained, workers
-    /// respawned, inline fallbacks), when a pool is attached.
+    /// The shared worker pool's fault ledger (panics contained, inline
+    /// fallbacks), when a pool is attached.
     #[must_use]
     pub fn pool_health(&self) -> Option<PoolHealth> {
         self.run.shared.pool.as_ref().map(|p| p.health())

@@ -12,10 +12,8 @@
 //! and [`detach`](Fleet::detach) *mid-run*. An arrival goes through the EWMA
 //! admission gate against current measured utilization; a departure drains
 //! the tenant's in-flight frames, releases its freelist buffers and shared
-//! schedule-cache locks, and leaves a final rollup behind. Previously
-//! rejected streams sit in a retry queue and are re-admitted once
-//! utilization drops a hysteresis band below the admission threshold
-//! ([`FleetConfig::readmit`]).
+//! schedule-cache locks, and leaves a final rollup behind. A rejected
+//! stream stays rejected: the caller decides whether to ask again.
 //!
 //! Mechanisms that keep the fleet honest under load:
 //!
@@ -43,7 +41,6 @@
 //! side, and the schedule-conformance checker runs per tenant with a
 //! fleet-level rollup.
 
-use std::collections::VecDeque;
 use std::sync::atomic::{AtomicBool, AtomicU64, AtomicUsize, Ordering};
 use std::sync::Arc;
 use std::thread;
@@ -93,11 +90,6 @@ pub struct FleetConfig {
     /// Streams admitted unconditionally before the utilization probe
     /// applies (there is no signal to measure before the first stream).
     pub min_admitted: usize,
-    /// Pacing between admission decisions — long enough for the monitor to
-    /// sample the marginal load of the previous admission.
-    pub admit_interval: Duration,
-    /// Monitor sampling period (utilization + per-tenant backlog).
-    pub monitor_tick: Duration,
     /// Backlog (frames digitized but not completed) at or above which a
     /// tenant's pool jobs ride the urgent lane.
     pub boost_backlog: u64,
@@ -110,20 +102,6 @@ pub struct FleetConfig {
     /// Regimes (model counts) every tenant's schedule table covers. Empty
     /// defaults to the template's target count.
     pub regimes: Vec<u32>,
-    /// Weight bound of the shared cross-tenant schedule cache.
-    pub cache_weight: usize,
-    /// Idle-buffer bound of each shared freelist; `0` derives a bound from
-    /// the template's channel capacity.
-    pub buf_slots: usize,
-    /// Re-admission loop: when `true`, rejected streams enter a retry
-    /// queue and are re-attached once EWMA utilization drops below
-    /// `max_utilization - readmit_hysteresis`. Off by default — a plain
-    /// [`run_fleet`] keeps the PR 8 reject-is-final semantics.
-    pub readmit: bool,
-    /// Hysteresis band of the re-admission gate (see
-    /// [`lifecycle::readmit_ready`]): prevents admit/reject flapping when
-    /// utilization hovers at the knee.
-    pub readmit_hysteresis: f64,
     /// Shed threshold for `BestEffort` tenants: while EWMA utilization
     /// exceeds this, their digitizers skip-commit frames instead of
     /// rendering. `f64::INFINITY` disables shedding.
@@ -133,10 +111,17 @@ pub struct FleetConfig {
     pub shed_hysteresis: f64,
 }
 
+/// Pacing between [`run_fleet`]'s admission decisions — long enough for
+/// the monitor to sample the marginal load of the previous admission.
+const ADMIT_INTERVAL: Duration = Duration::from_millis(3);
+/// Monitor sampling period (utilization + per-tenant backlog).
+const MONITOR_TICK: Duration = Duration::from_millis(1);
+/// Weight bound of the shared cross-tenant schedule cache.
+const CACHE_WEIGHT: usize = 64;
+
 impl FleetConfig {
     /// A small, fast fleet suitable for tests: tiny frames, a 2-worker
-    /// pool, generous deadline, admission effectively open, lifecycle
-    /// extras (re-admission, shedding) off.
+    /// pool, generous deadline, admission effectively open, shedding off.
     #[must_use]
     pub fn small(tenants: usize, n_frames: u64) -> Self {
         let mut base = TrackerConfig::small(2, n_frames);
@@ -148,16 +133,10 @@ impl FleetConfig {
             deadline: Duration::from_secs(5),
             max_utilization: 0.95,
             min_admitted: 1,
-            admit_interval: Duration::from_millis(3),
-            monitor_tick: Duration::from_millis(1),
             boost_backlog: 4,
             warmup: 0,
             tenant_faults: Vec::new(),
             regimes: vec![1, 2],
-            cache_weight: 64,
-            buf_slots: 0,
-            readmit: false,
-            readmit_hysteresis: 0.1,
             shed_utilization: f64::INFINITY,
             shed_hysteresis: 0.1,
         }
@@ -168,21 +147,14 @@ impl FleetConfig {
 pub struct TenantRun {
     /// Tenant index (also its Chrome-trace `pid`).
     pub tenant: usize,
-    /// Whether admission control (ever) let this stream run.
+    /// Whether admission control let this stream run.
     pub admitted: bool,
     /// The tenant's scheduling class.
     pub class: PriorityClass,
     /// Where the tenant ended its lifecycle.
     pub state: LifecycleState,
-    /// Whether the stream was first rejected and later re-admitted by the
-    /// retry loop.
-    pub readmitted: bool,
-    /// EWMA utilization at the moment the retry loop re-admitted the
-    /// stream — by construction at most `max_utilization −
-    /// readmit_hysteresis` (the no-flapping evidence).
-    pub readmit_utilization: Option<f64>,
-    /// Pool utilization observed at the (first) rejection decision, for
-    /// tenants the gate turned away.
+    /// Pool utilization observed at the rejection decision, for tenants
+    /// the gate turned away.
     pub reject_utilization: Option<f64>,
     /// The tenant's application after the run (health ledger, face logs,
     /// channels, recorder) — `None` when rejected.
@@ -215,9 +187,6 @@ pub struct FleetRun {
     pub deadline: Duration,
     /// Warmup frames excluded from per-tenant statistics.
     pub warmup: usize,
-    /// Frames each admitted tenant was asked to process (the base budget;
-    /// a [`TenantSpec::n_frames`] override supersedes it per tenant).
-    pub n_frames: u64,
     /// The schedule table every tenant shares (built once, then served
     /// from the shared cache).
     pub table: ScheduleTable,
@@ -236,15 +205,6 @@ pub struct FleetObs {
     /// bytes summed over the tenant's five STM channels, as reported by
     /// the per-channel byte weighers (bytes_now = live + retained).
     pub memory: Vec<(usize, usize, usize)>,
-}
-
-impl FleetObs {
-    /// Fleet-wide channel-memory high water: the sum of every tenant's
-    /// peak channel bytes.
-    #[must_use]
-    pub fn peak_bytes_total(&self) -> usize {
-        self.memory.iter().map(|&(_, _, peak)| peak).sum()
-    }
 }
 
 /// The final rollup [`Fleet::detach_and_wait`] emits once a tenant has
@@ -277,8 +237,6 @@ struct TenantLive {
 struct TenantSlot {
     spec: TenantSpec,
     state: LifecycleState,
-    readmitted: bool,
-    readmit_utilization: Option<f64>,
     reject_utilization: Option<f64>,
     boost_ticks: Arc<AtomicU64>,
     halt: Arc<AtomicBool>,
@@ -304,13 +262,11 @@ struct FleetInner {
     table: ScheduleTable,
     dp_task: TaskId,
     stop: AtomicBool,
-    readmit_enabled: AtomicBool,
     util_bits: AtomicU64,
     /// (peak, sum, samples) of the EWMA utilization.
     util_acc: Mutex<(f64, f64, u64)>,
     live: Mutex<Vec<TenantLive>>,
     slots: Mutex<Vec<TenantSlot>>,
-    retry: Mutex<VecDeque<usize>>,
     /// Tenant threads currently running.
     running: AtomicUsize,
     /// Wakes [`Fleet::finish`]/[`Fleet::detach_and_wait`] on any tenant
@@ -336,17 +292,13 @@ impl FleetInner {
     }
 
     /// Build and launch one admitted tenant (index `idx` must already hold
-    /// a slot). Called from `attach` and from the monitor's retry loop.
-    fn start_tenant(self: &Arc<Self>, idx: usize, readmitted: bool) {
+    /// a slot).
+    fn start_tenant(self: &Arc<Self>, idx: usize) {
         let cfg = &self.cfg;
         let spec = {
             let mut slots = self.slots.lock();
             let slot = &mut slots[idx];
             slot.state = LifecycleState::Admitted;
-            slot.readmitted = readmitted;
-            if readmitted {
-                slot.readmit_utilization = Some(self.utilization());
-            }
             slot.spec.clone()
         };
 
@@ -463,9 +415,8 @@ impl FleetInner {
         self.note_done();
     }
 
-    /// One monitor pass: sample utilization, drive boost/shed flags, and
-    /// retry rejected streams when the re-admission gate opens.
-    fn monitor_tick(self: &Arc<Self>, prev_busy: &mut u64, prev_t: &mut Instant) {
+    /// One monitor pass: sample utilization and drive boost/shed flags.
+    fn monitor_tick(&self, prev_busy: &mut u64, prev_t: &mut Instant) {
         let now = Instant::now();
         let busy = self.pool.busy_ns();
         // Raw per-tick samples are spiky — a long pool job's entire busy
@@ -513,18 +464,6 @@ impl FleetInner {
                 t.shed.store(t.shedding, Ordering::Relaxed);
             }
         }
-
-        // Re-admission: one retry per tick, and only once utilization has
-        // dropped a full hysteresis band below the admission threshold.
-        if self.cfg.readmit
-            && self.readmit_enabled.load(Ordering::SeqCst)
-            && lifecycle::readmit_ready(util, self.cfg.max_utilization, self.cfg.readmit_hysteresis)
-        {
-            let next = self.retry.lock().pop_front();
-            if let Some(idx) = next {
-                self.start_tenant(idx, true);
-            }
-        }
     }
 }
 
@@ -543,24 +482,23 @@ impl Fleet {
     pub fn launch(cfg: FleetConfig) -> Fleet {
         let workers = cfg.pool_workers.max(1);
         let pool: Arc<WorkerPool<ChunkJob>> = Arc::new(WorkerPool::new(workers, ChunkJob::run));
-        let buf_slots = if cfg.buf_slots > 0 {
-            cfg.buf_slots
-        } else {
-            // Bounded regardless of tenant count: overflow returns are
-            // dropped, shortfalls allocate fresh — correctness never
-            // depends on the freelist being large enough.
-            (cfg.base.channel_capacity + 2) * 4
-        };
+        // Bounded regardless of tenant count: overflow returns are dropped,
+        // shortfalls allocate fresh — correctness never depends on the
+        // freelist being large enough.
+        let idle_bound = (cfg.base.channel_capacity + 2) * 4;
         let (frame_pool, mask_pool): (Option<BufPool<Frame>>, Option<BufPool<BitMask>>) =
             if cfg.base.recycle_buffers {
-                (Some(BufPool::new(buf_slots)), Some(BufPool::new(buf_slots)))
+                (
+                    Some(BufPool::new(idle_bound)),
+                    Some(BufPool::new(idle_bound)),
+                )
             } else {
                 (None, None)
             };
 
         // The cross-tenant schedule cache: this first table build searches,
         // every tenant's build is served from memory.
-        let cache = SharedScheduleCache::new(cfg.cache_weight.max(1));
+        let cache = SharedScheduleCache::new(CACHE_WEIGHT);
         let graph = builders::color_tracker();
         let cluster = ClusterSpec::single_node(4);
         let dp_task = graph
@@ -591,12 +529,10 @@ impl Fleet {
             table,
             dp_task,
             stop: AtomicBool::new(false),
-            readmit_enabled: AtomicBool::new(true),
             util_bits: AtomicU64::new(0),
             util_acc: Mutex::new((0.0, 0.0, 0)),
             live: Mutex::new(Vec::new()),
             slots: Mutex::new(Vec::new()),
-            retry: Mutex::new(VecDeque::new()),
             running: AtomicUsize::new(0),
             done_lock: Mutex::new(()),
             done_cv: Condvar::new(),
@@ -611,7 +547,7 @@ impl Fleet {
                 let mut prev_busy = m_inner.pool.busy_ns();
                 let mut prev_t = Instant::now();
                 while !m_inner.stop.load(Ordering::Relaxed) {
-                    thread::sleep(m_inner.cfg.monitor_tick);
+                    thread::sleep(MONITOR_TICK);
                     m_inner.monitor_tick(&mut prev_busy, &mut prev_t);
                 }
                 // Leave no tenant pinned to the urgent lane after the run.
@@ -625,9 +561,8 @@ impl Fleet {
     }
 
     /// Ask to run one more stream. The EWMA admission gate decides against
-    /// *current* measured utilization; a rejected stream (with
-    /// [`FleetConfig::readmit`] on) enters the retry queue and may be
-    /// re-admitted later by the monitor.
+    /// *current* measured utilization; a rejected stream stays
+    /// [`Rejected`](LifecycleState::Rejected).
     pub fn attach(&self, spec: TenantSpec) -> AttachOutcome {
         let inner = &self.inner;
         let util = inner.utilization();
@@ -644,8 +579,6 @@ impl Fleet {
             slots.push(TenantSlot {
                 spec,
                 state: LifecycleState::Rejected,
-                readmitted: false,
-                readmit_utilization: None,
                 reject_utilization: (!admitted).then_some(util),
                 boost_ticks: Arc::new(AtomicU64::new(0)),
                 halt: Arc::new(AtomicBool::new(false)),
@@ -655,9 +588,7 @@ impl Fleet {
             (idx, admitted)
         };
         if admitted {
-            inner.start_tenant(idx, false);
-        } else if inner.cfg.readmit {
-            inner.retry.lock().push_back(idx);
+            inner.start_tenant(idx);
         }
         AttachOutcome {
             tenant: idx,
@@ -720,35 +651,17 @@ impl Fleet {
         }
     }
 
-    /// The current EWMA pool utilization the admission gate sees.
-    #[must_use]
-    pub fn utilization(&self) -> f64 {
-        self.inner.utilization()
-    }
-
     /// A tenant's current lifecycle state.
     #[must_use]
     pub fn tenant_state(&self, tenant: usize) -> Option<LifecycleState> {
         self.inner.slots.lock().get(tenant).map(|s| s.state)
     }
 
-    /// Whether a tenant has been re-admitted by the retry loop.
-    #[must_use]
-    pub fn tenant_readmitted(&self, tenant: usize) -> bool {
-        self.inner
-            .slots
-            .lock()
-            .get(tenant)
-            .is_some_and(|s| s.readmitted)
-    }
-
-    /// Stop re-admitting, wait (condvar, not polling) for every running
-    /// tenant to finish, stop the monitor, and reduce to a [`FleetRun`].
+    /// Wait (condvar, not polling) for every running tenant to finish,
+    /// stop the monitor, and reduce to a [`FleetRun`].
     #[must_use]
     pub fn finish(mut self) -> FleetRun {
         let inner = &self.inner;
-        inner.readmit_enabled.store(false, Ordering::SeqCst);
-        inner.retry.lock().clear();
         {
             let mut g = inner.done_lock.lock();
             while inner.running.load(Ordering::SeqCst) > 0 {
@@ -777,8 +690,6 @@ impl Fleet {
                         admitted: true,
                         class: slot.spec.class,
                         state: slot.state,
-                        readmitted: slot.readmitted,
-                        readmit_utilization: slot.readmit_utilization,
                         reject_utilization: slot.reject_utilization,
                         sheds: app.measure.shed_count(),
                         app: Some(app),
@@ -790,8 +701,6 @@ impl Fleet {
                         admitted: slot.state != LifecycleState::Rejected,
                         class: slot.spec.class,
                         state: slot.state,
-                        readmitted: slot.readmitted,
-                        readmit_utilization: slot.readmit_utilization,
                         reject_utilization: slot.reject_utilization,
                         app: None,
                         stats: None,
@@ -816,7 +725,6 @@ impl Fleet {
             pool_executed: inner.pool.executed(),
             deadline: inner.cfg.deadline,
             warmup: inner.cfg.warmup,
-            n_frames: inner.cfg.base.n_frames,
             table: inner.table.clone(),
             dp_task: inner.dp_task,
         }
@@ -830,7 +738,7 @@ impl FleetRun {
         self.tenants.iter().filter(|t| t.admitted).count()
     }
 
-    /// Streams admission control turned away (and never re-admitted).
+    /// Streams admission control turned away.
     #[must_use]
     pub fn rejected(&self) -> usize {
         self.tenants.len() - self.admitted()
@@ -856,25 +764,9 @@ impl FleetRun {
         }
     }
 
-    /// Admitted tenants that met the fleet SLO: every frame completed and
-    /// p99 latency within the deadline budget.
-    #[must_use]
-    pub fn tenants_within_slo(&self) -> usize {
-        self.tenants
-            .iter()
-            .filter(|t| {
-                t.admitted
-                    && t.stats.as_ref().is_some_and(|s| {
-                        s.frames_completed == self.n_frames && s.p99_latency <= self.deadline
-                    })
-            })
-            .count()
-    }
-
     /// The per-regime predictions of the shared table, for conformance
     /// checking.
-    #[must_use]
-    pub fn regime_specs(&self) -> Vec<RegimeSpec> {
+    fn regime_specs(&self) -> Vec<RegimeSpec> {
         self.table
             .states()
             .iter()
@@ -956,7 +848,7 @@ impl FleetRun {
 }
 
 /// Run a static fleet: admit `cfg.tenants` streams one at a time under the
-/// utilization probe (paced by `admit_interval` so the monitor sees each
+/// utilization probe (paced by a 3 ms interval so the monitor sees each
 /// admission's marginal load), let every admitted tenant run to
 /// completion, and collect per-tenant statistics. This is the PR 8
 /// batch-shaped entry point, now a thin wrapper over the dynamic
@@ -967,7 +859,7 @@ pub fn run_fleet(cfg: &FleetConfig) -> FleetRun {
     let fleet = Fleet::launch(cfg.clone());
     for k in 0..cfg.tenants {
         if k > 0 {
-            thread::sleep(cfg.admit_interval);
+            thread::sleep(ADMIT_INTERVAL);
         }
         let spec = TenantSpec {
             class: PriorityClass::Standard,
@@ -1092,8 +984,22 @@ mod tests {
         let mut cfg = FleetConfig::small(2, 8);
         cfg.base.trace = Some(TraceMode::Full);
         let run = run_fleet(&cfg);
-        let obs = run.observability(50.0).expect("both tenants were traced");
-        assert_eq!(obs.conformance.len(), 2);
+        // Both tenants must have run. Name each one's admission and state,
+        // so a failure tells a gate refusal from a tenant that never traced.
+        let tenants: Vec<String> = run
+            .tenants
+            .iter()
+            .map(|t| {
+                format!(
+                    "tenant {}: admitted={} state={:?}",
+                    t.tenant, t.admitted, t.state
+                )
+            })
+            .collect();
+        let obs = run
+            .observability(50.0)
+            .unwrap_or_else(|| panic!("no tenant was traced: {tenants:?}"));
+        assert_eq!(obs.conformance.len(), 2, "{tenants:?}");
         assert!(obs.trace_json.contains("tenant-0"));
         assert!(obs.trace_json.contains("tenant-1"));
         let events = obs::chrome::validate(&obs.trace_json).expect("trace must parse");

@@ -1,18 +1,17 @@
-//! Tenant lifecycle policy for the fleet: admission, re-admission with
-//! hysteresis, shed pressure, and the utilization sampling math — every
-//! *decision* the fleet monitor makes, as pure functions over sampled
-//! numbers, so each one is unit-testable without spinning up threads.
+//! Tenant lifecycle policy for the fleet: admission, shed pressure, and
+//! the utilization sampling math — every *decision* the fleet monitor
+//! makes, as pure functions over sampled numbers, so each one is
+//! unit-testable without spinning up threads.
 //!
 //! The state machine (see ARCHITECTURE.md §8):
 //!
 //! ```text
 //!            attach                    detach              thread exits
 //! (new) ───────────────► Admitted ────────────► Draining ─────────────► Departed
-//!   │                        │                                             ▲
-//!   │ gate rejects           │ runs to completion                          │
-//!   ▼                        ▼                                             │
-//! Rejected ──► retry queue ──► re-admitted when EWMA ≤ max − hysteresis ───┘
-//!                              (Completed when never detached)
+//!   │                        │
+//!   │ gate rejects           │ runs to completion
+//!   ▼                        ▼
+//! Rejected (final)       Completed
 //! ```
 
 use std::sync::Arc;
@@ -24,16 +23,16 @@ use crate::pool::PriorityClass;
 /// Ignore utilization samples whose window is shorter than this: with a
 /// near-zero `dt` the busy-delta/`dt` quotient explodes (and at exactly
 /// zero it is NaN/inf), which would poison the EWMA and wedge admission.
-pub const MIN_SAMPLE_DT: Duration = Duration::from_micros(100);
+const MIN_SAMPLE_DT: Duration = Duration::from_micros(100);
 
 /// Raw per-window utilization is clamped here. Values slightly above 1.0
 /// are a real signal (a job longer than the tick lands its entire busy
 /// time in the window it completes in), but unbounded spikes are
 /// measurement artifacts, not load.
-pub const MAX_RAW_UTILIZATION: f64 = 2.0;
+const MAX_RAW_UTILIZATION: f64 = 2.0;
 
 /// EWMA smoothing factor: `util = ALPHA * raw + (1 - ALPHA) * prev`.
-pub const EWMA_ALPHA: f64 = 0.2;
+const EWMA_ALPHA: f64 = 0.2;
 
 /// What a tenant asks for at [`attach`](crate::fleet::Fleet::attach) time.
 #[derive(Clone, Default)]
@@ -42,8 +41,8 @@ pub struct TenantSpec {
     pub class: PriorityClass,
     /// Deterministic fault injection for this tenant (tests).
     pub faults: Option<Arc<FaultInjector>>,
-    /// Override the fleet's base digitizer period (e.g. a period-0 hog in
-    /// the churn bench). `None` inherits the base config.
+    /// Override the fleet's base digitizer period (e.g. a period-0
+    /// BestEffort hog). `None` inherits the base config.
     pub period: Option<Duration>,
     /// Override the fleet's base frame budget. `None` inherits.
     pub n_frames: Option<u64>,
@@ -63,8 +62,8 @@ impl TenantSpec {
 /// Where a tenant is in its lifecycle.
 #[derive(Clone, Copy, PartialEq, Eq, Debug)]
 pub enum LifecycleState {
-    /// The admission gate turned the stream away (it may sit in the retry
-    /// queue awaiting re-admission).
+    /// The admission gate turned the stream away. Final: a rejected
+    /// stream never runs.
     Rejected,
     /// Admitted and running.
     Admitted,
@@ -109,7 +108,7 @@ pub struct AttachOutcome {
 /// the window, `dt` the window's wall-clock length, `workers` the pool
 /// width, and `prev` the previous EWMA value (`None` for the first
 /// sample). Returns `None` — *sample rejected, keep the previous EWMA* —
-/// for degenerate windows: `dt` below [`MIN_SAMPLE_DT`] or non-finite
+/// for degenerate windows: `dt` below `MIN_SAMPLE_DT` or non-finite
 /// quotients, or `workers == 0`. The raw quotient is clamped to
 /// `[0, MAX_RAW_UTILIZATION]` so one absurd sample cannot poison the
 /// average and wedge admission.
@@ -156,16 +155,6 @@ pub fn admit(
         0.0
     };
     util + marginal <= max_utilization
-}
-
-/// The re-admission gate: a previously rejected stream is retried only
-/// once EWMA utilization has dropped a full `hysteresis` *below* the
-/// admission threshold. The band between the two thresholds is where
-/// neither gate fires — that is what prevents flapping (admit at 0.849,
-/// reject the next, admit again …) when utilization hovers near the knee.
-#[must_use]
-pub fn readmit_ready(util: f64, max_utilization: f64, hysteresis: f64) -> bool {
-    util <= max_utilization - hysteresis
 }
 
 /// The shed gate for BestEffort tenants, with its own hysteresis band:
@@ -268,24 +257,6 @@ mod tests {
         // No running streams: zero marginal estimate, gate on util alone.
         assert!(admit(0.5, 0, 5, 1, 0.85));
         assert!(!admit(0.9, 0, 5, 1, 0.85));
-    }
-
-    #[test]
-    fn readmission_hysteresis_does_not_flap() {
-        let max = 0.85;
-        let h = 0.10;
-        // Utilization hovering just under the admission threshold — the
-        // exact region where a hysteresis-free gate would flap (admit,
-        // saturate, reject, decay, admit …). None of these may readmit.
-        for &u in &[0.84, 0.80, 0.76, 0.7501] {
-            assert!(
-                !readmit_ready(u, max, h),
-                "{u} is inside the hysteresis band: no retry"
-            );
-        }
-        // Only a genuine load drop below max − h retries the stream.
-        assert!(readmit_ready(0.75, max, h));
-        assert!(readmit_ready(0.2, max, h));
     }
 
     #[test]

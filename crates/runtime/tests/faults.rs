@@ -264,8 +264,7 @@ fn worker_panics_are_contained_and_output_unchanged() {
         "pool ledger counts each containment"
     );
     let ph = app.pool_health().expect("pool attached");
-    assert_eq!(ph.inline_fallbacks, 0, "respawn cap never reached");
-    assert!(ph.respawns <= ph.panics);
+    assert_eq!(ph.inline_fallbacks, 0, "every chunk was served by a worker");
 }
 
 #[test]

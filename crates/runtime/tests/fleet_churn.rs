@@ -6,10 +6,8 @@
 //!   solo run of the same stream, and a departed tenant's drained output
 //!   is exactly one result per digitized frame — a contiguous prefix, no
 //!   gap, no duplicate (the proptest below drives random interleavings).
-//! - **Re-admission with hysteresis**: a stream rejected under load is
-//!   retried only after utilization drops a full hysteresis band below
-//!   the admission threshold — it does not flap in and out at the knee —
-//!   and then runs to completion.
+//! - **Priority through a burst**: a Guaranteed pair keeps its SLO while
+//!   free-running BestEffort hogs arrive and depart beside it.
 
 use std::thread;
 use std::time::{Duration, Instant};
@@ -132,134 +130,6 @@ proptest! {
                 "survivor {} diverged from its solo run under churn", a.tenant
             );
         }
-    }
-}
-
-#[test]
-fn rejected_stream_is_readmitted_after_departure_with_hysteresis() {
-    // One worker, free-running (period-zero) BestEffort hogs: utilization
-    // climbs, a Standard probe is rejected by the gate, the hogs are
-    // detached mid-run, and the retry loop re-admits the probe — at a
-    // recorded utilization provably below the hysteresis threshold (the
-    // no-flapping evidence) — after which it runs to completion.
-    //
-    // Pool duty on an unknown host is noisy (the EWMA swings with the
-    // pipeline's serial/data-parallel phases), so the test never asserts
-    // absolute utilization at a wall-clock instant: the rejection is
-    // whichever attach the gate actually refused, and the hysteresis bound
-    // is checked against the utilization the fleet recorded *at* the
-    // re-admission event.
-    const MAX_UTIL: f64 = 0.15;
-    const HYSTERESIS: f64 = 0.07;
-    let mut cfg = FleetConfig::small(0, 8);
-    cfg.pool_workers = 1;
-    cfg.min_admitted = 1;
-    cfg.max_utilization = MAX_UTIL;
-    cfg.monitor_tick = Duration::from_millis(10);
-    cfg.readmit = true;
-    cfg.readmit_hysteresis = HYSTERESIS;
-    let fleet = Fleet::launch(cfg);
-
-    let hog_spec = TenantSpec {
-        class: PriorityClass::BestEffort,
-        period: Some(Duration::ZERO),
-        n_frames: Some(50_000),
-        ..TenantSpec::default()
-    };
-    let hogs: Vec<_> = (0..4).map(|_| fleet.attach(hog_spec.clone())).collect();
-    assert!(
-        hogs[0].admitted,
-        "the min_admitted floor admits the first hog"
-    );
-    let hogs: Vec<_> = hogs.into_iter().filter(|h| h.admitted).collect();
-
-    // Attach short probes until the gate refuses one against live load.
-    // Admitted probes (attached during a utilization trough) are 1-frame
-    // streams that finish immediately; the refused one is the probe.
-    let deadline = Instant::now() + Duration::from_secs(30);
-    let probe = loop {
-        let p = fleet.attach(TenantSpec {
-            n_frames: Some(1),
-            ..TenantSpec::default()
-        });
-        if !p.admitted {
-            break p;
-        }
-        assert!(
-            Instant::now() < deadline,
-            "gate never rejected a probe: util={}",
-            fleet.utilization()
-        );
-        thread::sleep(Duration::from_millis(25));
-    };
-    // Sanity: the gate's decision was driven by real measured load. The
-    // true marginal divisor (running streams) is at least the hog count,
-    // so this recomputed sum is an upper bound of the gate's own.
-    assert!(
-        probe.utilization + probe.utilization / hogs.len() as f64 > MAX_UTIL,
-        "rejection was made against measured load: {}",
-        probe.utilization
-    );
-    assert_eq!(
-        fleet.tenant_state(probe.tenant),
-        Some(LifecycleState::Rejected)
-    );
-
-    // Mid-run departure: pull every hog and wait for the drains.
-    for h in &hogs {
-        let rollup = fleet
-            .detach_and_wait(h.tenant, Duration::from_secs(60))
-            .expect("hog drains");
-        assert!(rollup.digitized < 50_000, "hog was cut mid-run");
-        // Drain accounting: every digitized frame either completed or was
-        // recorded as a policy drop downstream (deadline skip under host
-        // load, STM drop) — none vanish silently.
-        assert!(
-            rollup.stats.frames_completed <= rollup.digitized,
-            "more completions than digitized frames"
-        );
-        let accounted = rollup.stats.frames_completed
-            + rollup.health.deadline_skips
-            + rollup.health.stm_get_drops
-            + rollup.health.stm_put_drops;
-        assert!(
-            accounted >= rollup.digitized,
-            "drain lost in-flight frames: {} completed + {} recorded drops < {} digitized",
-            rollup.stats.frames_completed,
-            accounted - rollup.stats.frames_completed,
-            rollup.digitized
-        );
-    }
-
-    assert!(
-        wait_until(Duration::from_secs(30), || {
-            fleet.tenant_state(probe.tenant) != Some(LifecycleState::Rejected)
-        }),
-        "probe never re-admitted after the departures: util={}",
-        fleet.utilization()
-    );
-
-    let run = fleet.finish();
-    let t = &run.tenants[probe.tenant];
-    assert!(t.readmitted, "probe went through the retry queue");
-    assert!(t.admitted);
-    assert_eq!(t.state, LifecycleState::Completed);
-    assert_eq!(t.stats.as_ref().unwrap().frames_completed, 1);
-    assert!(
-        t.reject_utilization.is_some(),
-        "the first rejection is still on record"
-    );
-    // The hysteresis invariant, timing-free: the retry fired at a recorded
-    // utilization at or below max − h, never inside the band.
-    let at = t
-        .readmit_utilization
-        .expect("re-admission records its utilization");
-    assert!(
-        at <= MAX_UTIL - HYSTERESIS + 1e-9,
-        "re-admitted inside the hysteresis band: {at}"
-    );
-    for h in &hogs {
-        assert_eq!(run.tenants[h.tenant].state, LifecycleState::Departed);
     }
 }
 
