@@ -10,22 +10,16 @@ use taskgraph::{Micros, TaskId};
 /// never read; recording every slice then costs an allocation-heavy `Vec`
 /// push per processor slice plus the final buffer. `TraceMode` gates that
 /// cost: metrics ([`crate::Metrics`]) are computed from frame records and
-/// are *identical* in every mode (property-tested), so `Off` is always safe
+/// are *identical* in both modes (property-tested), so `Off` is always safe
 /// for runs that only need numbers.
 #[derive(Clone, Copy, PartialEq, Eq, Debug, Default)]
 pub enum TraceMode {
     /// Record nothing. Summary statistics (`makespan`, `busy_time`,
     /// `utilization`) read as empty; use the simulator's own makespan.
     Off,
-    /// Keep only the O(procs) aggregates — per-processor busy time, slice
-    /// count, makespan — with no per-slice storage.
-    Summary,
-    /// Record every slice (the historical behaviour).
+    /// Record every slice.
     #[default]
     Full,
-    /// Record aggregates plus a ring buffer of the *last* `n` slices: a
-    /// flight recorder for long runs where only the recent window matters.
-    Ring(usize),
 }
 
 /// One contiguous slice of processor time spent on one task activation (or
@@ -57,22 +51,16 @@ impl TraceEntry {
 
 /// A complete per-run trace.
 ///
-/// Aggregates (makespan, per-processor busy time, slice count) are
-/// maintained incrementally on every [`ExecutionTrace::push`], so the
-/// summary accessors are O(1) and remain correct even in
-/// [`TraceMode::Summary`] and [`TraceMode::Ring`], where per-slice storage
-/// is reduced or bounded.
+/// Aggregates (makespan, per-processor busy time) are maintained
+/// incrementally on every [`ExecutionTrace::push`], so the summary
+/// accessors are O(1).
 #[derive(Clone, Debug)]
 pub struct ExecutionTrace {
     entries: Vec<TraceEntry>,
-    /// Ring cursor: index of the oldest stored entry once a `Ring(cap)`
-    /// buffer has wrapped. Always 0 in the other modes.
-    ring_head: usize,
     mode: TraceMode,
     n_procs: u32,
     busy: Vec<Micros>,
     max_end: Micros,
-    recorded: u64,
 }
 
 impl Default for ExecutionTrace {
@@ -88,17 +76,13 @@ impl ExecutionTrace {
         ExecutionTrace::with_mode(n_procs, TraceMode::Full)
     }
 
-    /// An empty trace with an explicit recording mode.
-    #[must_use]
-    pub fn with_mode(n_procs: u32, mode: TraceMode) -> Self {
+    fn with_mode(n_procs: u32, mode: TraceMode) -> Self {
         ExecutionTrace {
             entries: Vec::new(),
-            ring_head: 0,
             mode,
             n_procs,
             busy: vec![Micros::ZERO; n_procs as usize],
             max_end: Micros::ZERO,
-            recorded: 0,
         }
     }
 
@@ -106,13 +90,11 @@ impl ExecutionTrace {
     /// the entry buffer's capacity (arena reuse across simulator runs).
     pub fn reset(&mut self, n_procs: u32, mode: TraceMode) {
         self.entries.clear();
-        self.ring_head = 0;
         self.mode = mode;
         self.n_procs = n_procs;
         self.busy.clear();
         self.busy.resize(n_procs as usize, Micros::ZERO);
         self.max_end = Micros::ZERO;
-        self.recorded = 0;
     }
 
     /// The recording mode.
@@ -125,9 +107,7 @@ impl ExecutionTrace {
     /// processor out of range) — traces are produced by simulators, so a
     /// malformed entry is a simulator bug.
     ///
-    /// In [`TraceMode::Off`] this is a no-op; in [`TraceMode::Summary`] only
-    /// the aggregates are updated; in [`TraceMode::Ring`] the oldest stored
-    /// slice is evicted once the buffer is full.
+    /// In [`TraceMode::Off`] this is a no-op.
     pub fn push(&mut self, e: TraceEntry) {
         if self.mode == TraceMode::Off {
             return;
@@ -136,53 +116,20 @@ impl ExecutionTrace {
         assert!(e.proc.0 < self.n_procs, "trace slice on unknown processor");
         self.busy[e.proc.0 as usize] += e.duration();
         self.max_end = self.max_end.max(e.end);
-        self.recorded += 1;
-        match self.mode {
-            TraceMode::Off | TraceMode::Summary => {}
-            TraceMode::Full => self.entries.push(e),
-            TraceMode::Ring(cap) => {
-                if self.entries.len() < cap {
-                    self.entries.push(e);
-                } else if cap > 0 {
-                    self.entries[self.ring_head] = e;
-                    self.ring_head = (self.ring_head + 1) % cap;
-                }
-            }
-        }
+        self.entries.push(e);
     }
 
-    /// All *stored* slices in insertion (time) order. Under
-    /// [`TraceMode::Ring`] this is the retained window; under
-    /// [`TraceMode::Summary`]/[`TraceMode::Off`] it is empty — check
-    /// [`ExecutionTrace::recorded_slices`] to distinguish "no work ran" from
-    /// "not recorded".
+    /// All recorded slices in insertion (time) order; empty under
+    /// [`TraceMode::Off`].
     #[must_use]
     pub fn entries(&self) -> &[TraceEntry] {
-        debug_assert_eq!(self.ring_head, 0, "ring trace read before seal()");
         &self.entries
     }
 
-    /// Rotate a wrapped ring buffer so `entries()` is in insertion order.
-    /// Idempotent; a no-op in every other mode. Simulators call this once at
-    /// end of run.
-    pub fn seal(&mut self) {
-        if self.ring_head != 0 {
-            self.entries.rotate_left(self.ring_head);
-            self.ring_head = 0;
-        }
-    }
-
-    /// Total slices observed (including any not stored due to the mode).
+    /// Number of recorded slices (0 under [`TraceMode::Off`]).
     #[must_use]
     pub fn recorded_slices(&self) -> u64 {
-        self.recorded
-    }
-
-    /// Whether every observed slice is also stored (always true in
-    /// [`TraceMode::Full`]).
-    #[must_use]
-    pub fn is_complete(&self) -> bool {
-        self.recorded == self.entries.len() as u64
+        self.entries.len() as u64
     }
 
     /// Number of processors in the run.
@@ -238,8 +185,8 @@ impl ExecutionTrace {
     }
 
     /// Per-frame completion time: the max `end` over all slices of `frame`.
-    #[must_use]
-    pub fn frame_completion(&self, frame: u64) -> Option<Micros> {
+    #[cfg(test)]
+    fn frame_completion(&self, frame: u64) -> Option<Micros> {
         self.entries
             .iter()
             .filter(|e| e.frame == frame)
@@ -271,7 +218,6 @@ impl ExecutionTrace {
         process_name: &str,
         task_names: &[String],
     ) {
-        debug_assert_eq!(self.ring_head, 0, "ring trace exported before seal()");
         chrome.set_process_name(pid, process_name);
         for p in 0..self.n_procs {
             chrome.set_thread_name(pid, p, &format!("proc {p}"));
@@ -451,7 +397,7 @@ mod tests {
         assert_eq!(t.makespan(), Micros::ZERO);
         assert_eq!(t.utilization(), 0.0);
         assert!(t.find_overlap().is_none());
-        assert!(t.is_complete());
+        assert_eq!(t.recorded_slices(), 0);
     }
 
     #[test]
@@ -465,52 +411,12 @@ mod tests {
     }
 
     #[test]
-    fn summary_mode_keeps_aggregates_without_entries() {
-        let mut full = ExecutionTrace::with_mode(2, TraceMode::Full);
-        let mut summ = ExecutionTrace::with_mode(2, TraceMode::Summary);
-        for e in [
-            entry(0, 0, 0, 0, 10),
-            entry(1, 1, 0, 5, 25),
-            entry(0, 2, 1, 10, 15),
-        ] {
-            full.push(e.clone());
-            summ.push(e);
-        }
-        assert!(summ.entries().is_empty());
-        assert!(!summ.is_complete());
-        assert_eq!(summ.recorded_slices(), 3);
-        assert_eq!(summ.makespan(), full.makespan());
-        assert_eq!(summ.busy_time(ProcId(0)), full.busy_time(ProcId(0)));
-        assert_eq!(summ.busy_time(ProcId(1)), full.busy_time(ProcId(1)));
-        assert!((summ.utilization() - full.utilization()).abs() < 1e-12);
-    }
-
-    #[test]
-    fn ring_mode_keeps_last_n_in_order() {
-        let mut t = ExecutionTrace::with_mode(1, TraceMode::Ring(3));
-        for i in 0..7u64 {
-            t.push(entry(0, i as usize, i, i * 10, i * 10 + 5));
-        }
-        t.seal();
-        let frames: Vec<u64> = t.entries().iter().map(|e| e.frame).collect();
-        assert_eq!(frames, vec![4, 5, 6], "last three slices, oldest first");
-        assert_eq!(t.recorded_slices(), 7);
-        assert!(!t.is_complete());
-        // Aggregates still cover every slice.
-        assert_eq!(t.makespan(), Micros(65));
-        assert_eq!(t.busy_time(ProcId(0)), Micros(35));
-        // seal() is idempotent.
-        t.seal();
-        assert_eq!(t.entries().len(), 3);
-    }
-
-    #[test]
     fn reset_clears_but_keeps_mode_change() {
         let mut t = ExecutionTrace::with_mode(1, TraceMode::Full);
         t.push(entry(0, 0, 0, 0, 10));
-        t.reset(3, TraceMode::Summary);
+        t.reset(3, TraceMode::Off);
         assert_eq!(t.n_procs(), 3);
-        assert_eq!(t.mode(), TraceMode::Summary);
+        assert_eq!(t.mode(), TraceMode::Off);
         assert!(t.entries().is_empty());
         assert_eq!(t.recorded_slices(), 0);
         assert_eq!(t.makespan(), Micros::ZERO);

@@ -180,9 +180,9 @@ proptest! {
         prop_assert_eq!(reference.makespan, new.makespan);
     }
 
-    /// Trace recording never perturbs simulation results: Summary, Ring and
-    /// Off runs produce `Metrics` and makespans identical to Full — and one
-    /// reused arena serves all four modes back to back.
+    /// Trace recording never perturbs simulation results: an Off run
+    /// produces `Metrics` and a makespan identical to Full — and one reused
+    /// arena serves both modes back to back.
     #[test]
     fn trace_mode_never_perturbs_metrics(
         costs in proptest::collection::vec(1u64..500, 2..6),
@@ -201,15 +201,9 @@ proptest! {
         let mut arena = SimArena::new();
         cfg.trace_mode = TraceMode::Full;
         let full = arena.simulate(&g, &c, &cfg);
-        let full_slices = arena.trace().recorded_slices();
-        for mode in [TraceMode::Summary, TraceMode::Ring(4), TraceMode::Off] {
-            cfg.trace_mode = mode;
-            let other = arena.simulate(&g, &c, &cfg);
-            prop_assert_eq!(other.metrics, full.metrics, "mode {:?}", mode);
-            prop_assert_eq!(other.makespan, full.makespan, "mode {:?}", mode);
-            if mode != TraceMode::Off {
-                prop_assert_eq!(arena.trace().recorded_slices(), full_slices);
-            }
-        }
+        cfg.trace_mode = TraceMode::Off;
+        let off = arena.simulate(&g, &c, &cfg);
+        prop_assert_eq!(off.metrics, full.metrics);
+        prop_assert_eq!(off.makespan, full.makespan);
     }
 }

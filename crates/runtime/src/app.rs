@@ -113,8 +113,8 @@ pub struct TrackerConfig {
     /// [`TraceMode::Off`] overhead claim is measured against.
     pub trace: Option<TraceMode>,
     /// Which compute-kernel tier the stage bodies dispatch through
-    /// (scalar oracles, portable word kernels, or runtime-detected SIMD).
-    /// Every tier is bit-identical; they differ only in speed.
+    /// (scalar oracles, or runtime-detected SIMD over the portable word
+    /// kernels). Both tiers are bit-identical; they differ only in speed.
     pub backend: BackendKind,
     /// Record this run's nondeterminism (digitized frames, skips, commits)
     /// into the tap — the live side of `crates/replay`. `None` records
@@ -147,7 +147,7 @@ impl TrackerConfig {
             frame_deadline: None,
             faults: None,
             trace: None,
-            backend: BackendKind::from_env(),
+            backend: BackendKind::Simd,
             record: None,
             source: None,
         }

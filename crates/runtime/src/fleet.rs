@@ -92,13 +92,13 @@ pub struct FleetConfig {
     pub min_admitted: usize,
     /// Backlog (frames digitized but not completed) at or above which a
     /// tenant's pool jobs ride the urgent lane.
-    pub boost_backlog: u64,
+    boost_backlog: u64,
     /// Completed frames excluded from each tenant's statistics.
     pub warmup: usize,
     /// Per-tenant fault injection, indexed by tenant (missing/`None`
     /// entries inject nothing). Faults ride the tenant's own run context,
     /// so they perturb only that tenant.
-    pub tenant_faults: Vec<Option<Arc<FaultInjector>>>,
+    tenant_faults: Vec<Option<Arc<FaultInjector>>>,
     /// Regimes (model counts) every tenant's schedule table covers. Empty
     /// defaults to the template's target count.
     pub regimes: Vec<u32>,
@@ -171,16 +171,12 @@ pub struct TenantRun {
 pub struct FleetRun {
     /// Per-tenant outcomes, indexed by tenant.
     pub tenants: Vec<TenantRun>,
-    /// Highest pool utilization any monitor sample observed.
-    pub peak_utilization: f64,
     /// Mean pool utilization over all monitor samples.
     pub mean_utilization: f64,
     /// Branch-and-bound searches the shared schedule cache actually ran.
     pub cache_searches: u64,
     /// Table entries served from the shared cache's memory.
     pub cache_hits: u64,
-    /// Wall time from fleet launch to the last tenant completion.
-    pub wall: Duration,
     /// Jobs the shared pool executed across all tenants.
     pub pool_executed: u64,
     /// The deadline budget the run was judged against.
@@ -263,8 +259,8 @@ struct FleetInner {
     dp_task: TaskId,
     stop: AtomicBool,
     util_bits: AtomicU64,
-    /// (peak, sum, samples) of the EWMA utilization.
-    util_acc: Mutex<(f64, f64, u64)>,
+    /// (sum, samples) of the EWMA utilization.
+    util_acc: Mutex<(f64, u64)>,
     live: Mutex<Vec<TenantLive>>,
     slots: Mutex<Vec<TenantSlot>>,
     /// Tenant threads currently running.
@@ -274,7 +270,6 @@ struct FleetInner {
     done_lock: Mutex<()>,
     done_cv: Condvar,
     handles: Mutex<Vec<thread::JoinHandle<()>>>,
-    t_start: Instant,
 }
 
 impl FleetInner {
@@ -427,7 +422,7 @@ impl FleetInner {
         let prev = {
             let bits = self.util_bits.load(Ordering::Relaxed);
             let acc = self.util_acc.lock();
-            (acc.2 > 0).then(|| f64::from_bits(bits))
+            (acc.1 > 0).then(|| f64::from_bits(bits))
         };
         if let Some(util) = lifecycle::utilization_sample(
             busy.saturating_sub(*prev_busy),
@@ -437,9 +432,8 @@ impl FleetInner {
         ) {
             self.util_bits.store(util.to_bits(), Ordering::Relaxed);
             let mut acc = self.util_acc.lock();
-            acc.0 = acc.0.max(util);
-            acc.1 += util;
-            acc.2 += 1;
+            acc.0 += util;
+            acc.1 += 1;
             *prev_busy = busy;
             *prev_t = now;
         }
@@ -530,14 +524,13 @@ impl Fleet {
             dp_task,
             stop: AtomicBool::new(false),
             util_bits: AtomicU64::new(0),
-            util_acc: Mutex::new((0.0, 0.0, 0)),
+            util_acc: Mutex::new((0.0, 0)),
             live: Mutex::new(Vec::new()),
             slots: Mutex::new(Vec::new()),
             running: AtomicUsize::new(0),
             done_lock: Mutex::new(()),
             done_cv: Condvar::new(),
             handles: Mutex::new(Vec::new()),
-            t_start: Instant::now(),
         });
 
         let m_inner = Arc::clone(&inner);
@@ -676,8 +669,7 @@ impl Fleet {
             let _ = h.join();
         }
 
-        let wall = inner.t_start.elapsed();
-        let (peak, sum, samples) = *inner.util_acc.lock();
+        let (sum, samples) = *inner.util_acc.lock();
         let mut slots = inner.slots.lock();
         let tenants: Vec<TenantRun> = slots
             .iter_mut()
@@ -713,7 +705,6 @@ impl Fleet {
 
         FleetRun {
             tenants,
-            peak_utilization: peak,
             mean_utilization: if samples > 0 {
                 sum / samples as f64
             } else {
@@ -721,7 +712,6 @@ impl Fleet {
             },
             cache_searches: inner.cache.searches(),
             cache_hits: inner.cache.hits(),
-            wall,
             pool_executed: inner.pool.executed(),
             deadline: inner.cfg.deadline,
             warmup: inner.cfg.warmup,

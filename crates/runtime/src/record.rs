@@ -36,7 +36,7 @@ use crate::regime_rt::RegimeController;
 /// The replay-format header describing `cfg` (the knobs a replay needs to
 /// rebuild the pipeline shape).
 #[must_use]
-pub fn header_for(cfg: &TrackerConfig) -> Header {
+fn header_for(cfg: &TrackerConfig) -> Header {
     Header {
         seed: cfg.seed,
         width: cfg.width as u32,
@@ -55,7 +55,7 @@ pub fn header_for(cfg: &TrackerConfig) -> Header {
 /// `(observation ordinal, packed (FP << 16) | MP)` rows. Clamp markers
 /// (payload-free Switch instants) are excluded.
 #[must_use]
-pub fn switches_of(dump: &SpanDump) -> Vec<(u64, u32)> {
+fn switches_of(dump: &SpanDump) -> Vec<(u64, u32)> {
     dump.spans
         .iter()
         .filter(|s| s.kind == SpanKind::Switch)
@@ -158,7 +158,7 @@ pub fn replay_config(rec: &Recording) -> TrackerConfig {
         frame_deadline: None,
         faults: any.then(|| plan.build()),
         trace: Some(TraceMode::Full),
-        backend: BackendKind::from_env(),
+        backend: BackendKind::Simd,
         record: None,
         source: Some(Arc::new(ReplaySource::new(rec, digitizer))),
     }

@@ -81,7 +81,6 @@ pub(crate) struct State<T> {
     pub(crate) global_last_gotten: Option<Timestamp>,
     pub(crate) stats: ChannelStats,
     next_conn: u64,
-    close_on_last_output: bool,
 }
 
 pub(crate) struct Inner<T> {
@@ -131,7 +130,6 @@ impl<T> Clone for Channel<T> {
 pub struct ChannelBuilder {
     name: String,
     capacity: Option<usize>,
-    close_on_last_output: bool,
     store_cfg: StoreConfig,
 }
 
@@ -141,7 +139,6 @@ impl ChannelBuilder {
         ChannelBuilder {
             name: name.into(),
             capacity: None,
-            close_on_last_output: true,
             store_cfg: StoreConfig::default(),
         }
     }
@@ -154,15 +151,6 @@ impl ChannelBuilder {
     pub fn capacity(mut self, cap: usize) -> Self {
         assert!(cap > 0, "capacity must be positive");
         self.capacity = Some(cap);
-        self
-    }
-
-    /// Whether the channel closes automatically when the last output
-    /// connection detaches (default: true). Disable for channels that gain
-    /// and lose producers over time.
-    #[must_use]
-    pub fn close_on_last_output_detach(mut self, yes: bool) -> Self {
-        self.close_on_last_output = yes;
         self
     }
 
@@ -224,7 +212,6 @@ impl ChannelBuilder {
                     global_last_gotten: None,
                     stats: ChannelStats::default(),
                     next_conn: 0,
-                    close_on_last_output: self.close_on_last_output,
                 }),
                 items_changed: Condvar::new(),
                 space_freed: Condvar::new(),
@@ -694,7 +681,7 @@ impl<T> State<T> {
     /// detached.
     pub(crate) fn detach_output(&mut self) -> bool {
         self.out_count -= 1;
-        if self.out_count == 0 && self.close_on_last_output && self.ever_output {
+        if self.out_count == 0 && self.ever_output {
             self.closed = true;
             true
         } else {
@@ -908,16 +895,6 @@ mod tests {
         assert!(!ch.is_closed());
         drop(out2);
         assert!(ch.is_closed());
-    }
-
-    #[test]
-    fn close_on_detach_can_be_disabled() {
-        let ch: Channel<u32> = ChannelBuilder::new("c")
-            .close_on_last_output_detach(false)
-            .build();
-        let out = ch.attach_output();
-        drop(out);
-        assert!(!ch.is_closed());
     }
 
     #[test]

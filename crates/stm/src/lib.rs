@@ -52,7 +52,6 @@ mod channel;
 mod connection;
 mod error;
 pub mod oracle;
-mod registry;
 mod stats;
 mod store;
 mod time;
@@ -61,7 +60,6 @@ mod wildcard;
 pub use channel::{Channel, ChannelBuilder};
 pub use connection::{GetOk, InputConn, OutputConn};
 pub use error::{ConsumeError, GetError, GetMiss, MissReason, PutError, StmResult};
-pub use registry::{Registry, TypeMismatch};
 pub use stats::{ChannelSnapshot, ChannelStats};
 pub use store::DEFAULT_BUCKET_ROWS;
 pub use time::{Timestamp, TsDelta};

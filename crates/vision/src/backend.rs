@@ -1,27 +1,22 @@
 //! Runtime-dispatched compute backends for the vision hot kernels.
 //!
 //! The tracker's per-frame kernels (T1 render, T2 histogram, T3 change
-//! detection) each have three implementation tiers behind one
+//! detection) each have two implementation tiers behind one
 //! [`ComputeBackend`] trait:
 //!
 //! * [`BackendKind::Scalar`] — the in-tree pixel-at-a-time oracles, kept as
 //!   the bit-identity gate for everything wider;
-//! * [`BackendKind::Word`] — the u32/u64 word-load bit-trick kernels;
 //! * [`BackendKind::Simd`] — explicit `std::arch` SIMD (SSE2/SSSE3/AVX2 on
 //!   x86_64 selected with `is_x86_feature_detected!`, NEON on aarch64),
-//!   falling back to `Word` per kernel where the host or the input doesn't
-//!   qualify.
+//!   falling back per kernel to the u32/u64 word-load kernels
+//!   ([`change_detection_into`], [`ColorHist::of_region`]) where the host
+//!   or the input doesn't qualify, and rendering with
+//!   [`Scene::render_into_fast`].
 //!
-//! All three produce **bit-identical** output (integer histogram counts in
-//! any order, exact mask bits, an unchanged RNG draw order for the
-//! renderer), so the choice is purely a speed decision.
-//!
-//! Selection: [`BackendKind::from_env`] reads `CDS_BACKEND`
-//! (`scalar`/`word`/`simd`, default `simd`); [`active`] caches that choice
-//! for the process.
-
-use std::str::FromStr;
-use std::sync::OnceLock;
+//! Both produce **bit-identical** output (integer histogram counts in any
+//! order, exact mask bits, an unchanged RNG draw order for the renderer),
+//! so the choice is purely a speed decision. [`active`] is the `Simd` tier;
+//! `TrackerConfig::backend` picks a tier per app.
 
 use crate::change::{change_detection_into, change_detection_scalar};
 use crate::color::ColorHist;
@@ -33,22 +28,19 @@ use crate::synth::Scene;
 pub enum BackendKind {
     /// Pixel-at-a-time reference kernels (the oracles).
     Scalar,
-    /// Word-load bit-trick kernels (PR 2's fast path).
-    Word,
     /// Explicit wide SIMD with runtime feature detection.
     Simd,
 }
 
 impl BackendKind {
     /// Every tier, oracle first.
-    pub const ALL: [BackendKind; 3] = [BackendKind::Scalar, BackendKind::Word, BackendKind::Simd];
+    pub const ALL: [BackendKind; 2] = [BackendKind::Scalar, BackendKind::Simd];
 
-    /// Stable lower-case name (the `CDS_BACKEND` value).
+    /// Stable lower-case name.
     #[must_use]
     pub fn name(self) -> &'static str {
         match self {
             BackendKind::Scalar => "scalar",
-            BackendKind::Word => "word",
             BackendKind::Simd => "simd",
         }
     }
@@ -57,45 +49,19 @@ impl BackendKind {
     #[must_use]
     pub fn get(self) -> &'static dyn ComputeBackend {
         static SCALAR: Scalar = Scalar;
-        static WORD: Word = Word;
         static SIMD: Simd = Simd;
         match self {
             BackendKind::Scalar => &SCALAR,
-            BackendKind::Word => &WORD,
             BackendKind::Simd => &SIMD,
         }
     }
-
-    /// The tier selected by the `CDS_BACKEND` environment variable;
-    /// unset or unrecognized values select `Simd` (which itself degrades
-    /// to the word kernels wherever the host lacks the features).
-    #[must_use]
-    pub fn from_env() -> BackendKind {
-        std::env::var("CDS_BACKEND")
-            .ok()
-            .and_then(|v| v.parse().ok())
-            .unwrap_or(BackendKind::Simd)
-    }
 }
 
-impl FromStr for BackendKind {
-    type Err = String;
-
-    fn from_str(s: &str) -> Result<Self, Self::Err> {
-        match s.trim().to_ascii_lowercase().as_str() {
-            "scalar" => Ok(BackendKind::Scalar),
-            "word" => Ok(BackendKind::Word),
-            "simd" => Ok(BackendKind::Simd),
-            other => Err(format!("unknown backend {other:?} (scalar|word|simd)")),
-        }
-    }
-}
-
-/// The process-wide backend: `CDS_BACKEND` resolved once, then cached.
+/// The default backend: the `Simd` tier (which itself degrades to the word
+/// kernels wherever the host lacks the features).
 #[must_use]
 pub fn active() -> &'static dyn ComputeBackend {
-    static KIND: OnceLock<BackendKind> = OnceLock::new();
-    KIND.get_or_init(BackendKind::from_env).get()
+    BackendKind::Simd.get()
 }
 
 /// One implementation tier of the tracker's per-frame kernels. All
@@ -105,8 +71,7 @@ pub trait ComputeBackend: Send + Sync {
     fn kind(&self) -> BackendKind;
 
     /// The instruction features this backend will actually use on this
-    /// host (e.g. `"sse2+ssse3+avx2"`); `"portable"` for the scalar/word
-    /// tiers.
+    /// host (e.g. `"sse2+ssse3+avx2"`); `"portable"` for the scalar tier.
     fn features(&self) -> String {
         String::from("portable")
     }
@@ -170,33 +135,6 @@ impl ComputeBackend for Scalar {
 
     fn render_into(&self, scene: &Scene, frame: u64, out: &mut Frame) {
         scene.render_into(frame, out);
-    }
-}
-
-/// The word-load bit-trick tier.
-struct Word;
-
-impl ComputeBackend for Word {
-    fn kind(&self) -> BackendKind {
-        BackendKind::Word
-    }
-
-    fn region_histogram(&self, frame: &Frame, region: Region) -> ColorHist {
-        ColorHist::of_region(frame, region)
-    }
-
-    fn change_detection_into(
-        &self,
-        frame: &Frame,
-        prev: Option<&Frame>,
-        threshold: u16,
-        out: &mut BitMask,
-    ) {
-        change_detection_into(frame, prev, threshold, out);
-    }
-
-    fn render_into(&self, scene: &Scene, frame: u64, out: &mut Frame) {
-        scene.render_into_fast(frame, out);
     }
 }
 
@@ -320,11 +258,8 @@ mod tests {
     #[test]
     fn kinds_round_trip_names() {
         for k in BackendKind::ALL {
-            assert_eq!(k.name().parse::<BackendKind>().unwrap(), k);
             assert_eq!(k.get().kind(), k);
         }
-        assert!("gpu".parse::<BackendKind>().is_err());
-        assert_eq!("SIMD".parse::<BackendKind>().unwrap(), BackendKind::Simd);
     }
 
     #[test]
@@ -335,41 +270,43 @@ mod tests {
         prev.set_pixel(5, 7, [250, 250, 250]);
         prev.set_pixel(36, 28, [0, 128, 0]);
         let scalar = BackendKind::Scalar.get();
-        for kind in [BackendKind::Word, BackendKind::Simd] {
-            let b = kind.get();
-            assert_eq!(
-                b.image_histogram(&cur),
-                scalar.image_histogram(&cur),
-                "{kind:?} histogram"
-            );
-            // Thresholds straddling the SIMD saturation boundary, the
-            // no-previous-frame path, and a dirty recycled mask.
-            for thr in [0u16, 24, 254, 255, 400] {
-                let mut fast = BitMask::all_set(w, h);
-                let mut slow = BitMask::all_set(w, h);
-                b.change_detection_into(&cur, Some(&prev), thr, &mut fast);
-                scalar.change_detection_into(&cur, Some(&prev), thr, &mut slow);
-                assert_eq!(fast, slow, "{kind:?} change thr {thr}");
-            }
-            assert_eq!(
-                b.change_detection(&cur, None, 24),
-                scalar.change_detection(&cur, None, 24),
-                "{kind:?} no-prev"
-            );
-            let scene = Scene::demo(w, h, 2, 11);
-            let mut fast = Frame::new(w, h);
-            let mut slow = Frame::new(w, h);
-            b.render_into(&scene, 6, &mut fast);
-            scalar.render_into(&scene, 6, &mut slow);
-            assert_eq!(fast, slow, "{kind:?} render");
+        let simd = BackendKind::Simd.get();
+        let want = scalar.image_histogram(&cur);
+        assert_eq!(simd.image_histogram(&cur), want, "simd histogram");
+        assert_eq!(
+            ColorHist::of_region(&cur, cur.region()),
+            want,
+            "word histogram"
+        );
+        // Thresholds straddling the SIMD saturation boundary, the
+        // no-previous-frame path, and a dirty recycled mask.
+        for thr in [0u16, 24, 254, 255, 400] {
+            let mut slow = BitMask::all_set(w, h);
+            scalar.change_detection_into(&cur, Some(&prev), thr, &mut slow);
+            let mut fast = BitMask::all_set(w, h);
+            simd.change_detection_into(&cur, Some(&prev), thr, &mut fast);
+            assert_eq!(fast, slow, "simd change thr {thr}");
+            let mut word = BitMask::all_set(w, h);
+            change_detection_into(&cur, Some(&prev), thr, &mut word);
+            assert_eq!(word, slow, "word change thr {thr}");
         }
+        assert_eq!(
+            simd.change_detection(&cur, None, 24),
+            scalar.change_detection(&cur, None, 24),
+            "simd no-prev"
+        );
+        let scene = Scene::demo(w, h, 2, 11);
+        let mut fast = Frame::new(w, h);
+        let mut slow = Frame::new(w, h);
+        simd.render_into(&scene, 6, &mut fast);
+        scalar.render_into(&scene, 6, &mut slow);
+        assert_eq!(fast, slow, "simd render");
     }
 
     #[test]
     fn active_backend_resolves() {
-        // Whatever CDS_BACKEND says, the resolved backend must be coherent.
         let b = active();
-        assert!(BackendKind::ALL.contains(&b.kind()));
+        assert_eq!(b.kind(), BackendKind::Simd);
         assert!(!b.features().is_empty());
     }
 }

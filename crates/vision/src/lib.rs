@@ -35,13 +35,11 @@
 #![warn(missing_docs)]
 #![warn(unreachable_pub)]
 
-pub mod adaptive;
 pub mod backend;
 pub mod calibrate;
 pub mod change;
 pub mod color;
 pub mod detect;
-pub mod enroll;
 pub mod frame;
 pub mod histogram;
 pub mod kiosk;
@@ -50,7 +48,6 @@ pub(crate) mod simd;
 pub mod synth;
 pub mod tracker;
 
-pub use adaptive::AdaptiveTracker;
 pub use backend::{active, BackendKind, ComputeBackend};
 pub use change::{change_detection, change_detection_into, change_detection_scalar};
 pub use color::ColorHist;
@@ -58,7 +55,6 @@ pub use detect::{
     detect_chunks, merge_partials, target_detection, target_detection_chunk,
     target_detection_chunk_scalar, DetectChunk, PartialScores, ScoreMap,
 };
-pub use enroll::{enroll_from_motion, motion_bbox};
 pub use frame::{BitMask, Frame, Region};
 pub use histogram::{image_histogram, image_histogram_scalar};
 pub use kiosk::{occupancy_track, KioskConfig, Visit};

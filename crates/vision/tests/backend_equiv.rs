@@ -1,13 +1,19 @@
-//! Property tests for the compute-backend contract: every tier — the
-//! portable word kernels and whatever SIMD paths the host dispatches to —
-//! is **bit-identical** to the in-tree scalar oracles over randomized
+//! Property tests for the compute-backend contract: the `Simd` tier
+//! (whatever SIMD paths the host dispatches to) and the portable word
+//! kernels it falls back to are **bit-identical** to the in-tree scalar
+//! oracles over randomized
 //! shapes, including widths below one SIMD lane, ragged tails, offset
 //! sub-regions, thresholds straddling the u8 saturation boundary, and the
-//! no-previous-frame path. Speed is the only permitted difference between
-//! tiers; this file is where that claim is enforced.
+//! no-previous-frame path. The word kernels are called directly, because
+//! `Simd` takes them only where the host or the input doesn't qualify.
+//! Speed is the only permitted difference between tiers; this file is
+//! where that claim is enforced.
 
 use proptest::prelude::*;
-use vision::{BackendKind, BitMask, Frame, Region, Scene};
+use vision::{
+    change_detection, change_detection_into, image_histogram, BackendKind, BitMask, ColorHist,
+    Frame, Region, Scene,
+};
 
 /// A deterministic pseudo-random frame: xorshift-mixed bytes so SIMD
 /// lanes see dense, uncorrelated patterns (gradients would never exercise
@@ -31,8 +37,8 @@ fn noise_frame(w: usize, h: usize, mut seed: u64) -> Frame {
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(48))]
 
-    /// Change detection: every backend, every shape, every threshold —
-    /// same mask bits as the scalar oracle, written into a dirty recycled
+    /// Change detection: `Simd` and the word kernel, every shape, every
+    /// threshold — same mask bits as the scalar oracle, written into a dirty recycled
     /// buffer.
     #[test]
     fn change_detection_matches_scalar_everywhere(
@@ -46,18 +52,22 @@ proptest! {
         let scalar = BackendKind::Scalar.get();
         let mut want = BitMask::all_set(w, h);
         scalar.change_detection_into(&cur, Some(&prev), thr, &mut want);
-        for kind in [BackendKind::Word, BackendKind::Simd] {
-            let mut got = BitMask::all_set(w, h);
-            kind.get().change_detection_into(&cur, Some(&prev), thr, &mut got);
-            prop_assert_eq!(&got, &want, "{:?} w={} h={} thr={}", kind, w, h, thr);
-            // First frame (no previous): everything is change, exactly.
-            let no_prev = kind.get().change_detection(&cur, None, thr);
-            prop_assert_eq!(&no_prev, &BitMask::all_set(w, h), "{:?} no-prev", kind);
-        }
+        let simd = BackendKind::Simd.get();
+        let mut got = BitMask::all_set(w, h);
+        simd.change_detection_into(&cur, Some(&prev), thr, &mut got);
+        prop_assert_eq!(&got, &want, "simd w={} h={} thr={}", w, h, thr);
+        let mut word = BitMask::all_set(w, h);
+        change_detection_into(&cur, Some(&prev), thr, &mut word);
+        prop_assert_eq!(&word, &want, "word w={} h={} thr={}", w, h, thr);
+        // First frame (no previous): everything is change, exactly.
+        let all = BitMask::all_set(w, h);
+        prop_assert_eq!(&simd.change_detection(&cur, None, thr), &all, "simd no-prev");
+        prop_assert_eq!(&change_detection(&cur, None, thr), &all, "word no-prev");
     }
 
     /// Region histograms: random sub-regions — including sub-lane widths
-    /// and misaligned x offsets — bin for bin equal across backends, and
+    /// and misaligned x offsets — bin for bin equal for `Simd` and the word
+    /// kernel, and
     /// whole-image histograms equal the whole-image oracle.
     #[test]
     fn histograms_match_scalar_over_random_regions(
@@ -74,14 +84,17 @@ proptest! {
         let scalar = BackendKind::Scalar.get();
         let want_region = scalar.region_histogram(&frame, region);
         let want_image = scalar.image_histogram(&frame);
-        for kind in [BackendKind::Word, BackendKind::Simd] {
-            let b = kind.get();
-            prop_assert_eq!(
-                &b.region_histogram(&frame, region), &want_region,
-                "{:?} region {:?}", kind, region
-            );
-            prop_assert_eq!(&b.image_histogram(&frame), &want_image, "{:?} image", kind);
-        }
+        let simd = BackendKind::Simd.get();
+        prop_assert_eq!(
+            &simd.region_histogram(&frame, region), &want_region,
+            "simd region {:?}", region
+        );
+        prop_assert_eq!(&simd.image_histogram(&frame), &want_image, "simd image");
+        prop_assert_eq!(
+            &ColorHist::of_region(&frame, region), &want_region,
+            "word region {:?}", region
+        );
+        prop_assert_eq!(&image_histogram(&frame), &want_image, "word image");
     }
 
     /// The digitizer kernel: the row-sliced fast renderer draws the exact
@@ -99,11 +112,12 @@ proptest! {
         let scalar = BackendKind::Scalar.get();
         let mut want = Frame::new(w, h);
         scalar.render_into(&scene, frame_no, &mut want);
-        for kind in [BackendKind::Word, BackendKind::Simd] {
-            // Dirty buffer: render must overwrite every byte.
-            let mut got = noise_frame(w, h, seed + 99);
-            kind.get().render_into(&scene, frame_no, &mut got);
-            prop_assert_eq!(&got, &want, "{:?} frame {}", kind, frame_no);
-        }
+        // Dirty buffers: render must overwrite every byte.
+        let mut got = noise_frame(w, h, seed + 99);
+        BackendKind::Simd.get().render_into(&scene, frame_no, &mut got);
+        prop_assert_eq!(&got, &want, "simd frame {}", frame_no);
+        let mut fast = noise_frame(w, h, seed + 99);
+        scene.render_into_fast(frame_no, &mut fast);
+        prop_assert_eq!(&fast, &want, "render_into_fast frame {}", frame_no);
     }
 }

@@ -238,37 +238,6 @@ fn persisted_schedule_drives_the_real_runtime() {
     assert!(app.face.observations().iter().all(|&(_, count)| count == 2));
 }
 
-/// The full perception → regime loop: an adaptive tracker enrolls and
-/// retires people from pixels alone; its population signal drives the
-/// debounced regime detector, which switches exactly once per true
-/// transition.
-#[test]
-fn adaptive_tracker_drives_regime_detection() {
-    use constrained_dynamic_scheduling::cds_core::detector::RegimeDetector;
-    use constrained_dynamic_scheduling::vision::{AdaptiveTracker, Scene};
-
-    // Ground truth: person A frames 2.., person B frames 10..22.
-    let scene = Scene::demo(160, 120, 2, 71)
-        .with_visit(0, 2, u64::MAX)
-        .with_visit(1, 10, 22);
-    let mut tracker = AdaptiveTracker::new(160, 120);
-    let mut detector = RegimeDetector::new(AppState::new(0), 2);
-    let mut switches = Vec::new();
-    for f in 0..32u64 {
-        let _ = tracker.process(&scene.render(f));
-        if let Some(new_state) = detector.observe(AppState::new(tracker.population())) {
-            switches.push((f, new_state.n_models));
-        }
-    }
-    // Expect the regime to go 0 → 1 → 2 → 1 (with detection/debounce lag).
-    let states: Vec<u32> = switches.iter().map(|&(_, n)| n).collect();
-    assert_eq!(states, vec![1, 2, 1], "switch sequence {switches:?}");
-    // Arrivals are confirmed only after they truly happened. (The demotion
-    // may fire early if the tracker briefly loses a fast-moving person —
-    // acceptable vision behaviour the debounce exists to bound.)
-    assert!(switches[0].0 >= 2 && switches[1].0 >= 10, "{switches:?}");
-}
-
 /// Multi-node cluster: the optimal schedule respects communication costs
 /// and never does worse than the single-node optimum with the same total
 /// processor count restricted to one node's processors.
