@@ -184,16 +184,6 @@ impl ExecutionTrace {
         None
     }
 
-    /// Per-frame completion time: the max `end` over all slices of `frame`.
-    #[cfg(test)]
-    fn frame_completion(&self, frame: u64) -> Option<Micros> {
-        self.entries
-            .iter()
-            .filter(|e| e.frame == frame)
-            .map(|e| e.end)
-            .max()
-    }
-
     /// Slices of a given task, in time order.
     #[must_use]
     pub fn task_slices(&self, task: TaskId) -> Vec<&TraceEntry> {
@@ -241,35 +231,6 @@ impl ExecutionTrace {
             );
         }
     }
-
-    /// Export the stored slices as a standalone Chrome trace JSON document
-    /// (see [`ExecutionTrace::push_into_chrome`] for the merged variant).
-    #[must_use]
-    pub fn to_chrome_json(&self, task_names: &[String]) -> String {
-        let mut chrome = obs::ChromeTrace::new();
-        self.push_into_chrome(&mut chrome, 0, "simulated", task_names);
-        chrome.to_json()
-    }
-
-    /// Export as CSV (`proc,task,frame,chunk_idx,chunk_of,start_us,end_us`),
-    /// for external plotting of the Fig. 4/5 timelines.
-    #[must_use]
-    pub fn to_csv(&self) -> String {
-        use std::fmt::Write as _;
-        let mut out = String::from("proc,task,frame,chunk_idx,chunk_of,start_us,end_us\n");
-        for e in &self.entries {
-            let (ci, cn) = match e.chunk {
-                Some((i, n)) => (i.to_string(), n.to_string()),
-                None => (String::new(), String::new()),
-            };
-            let _ = writeln!(
-                out,
-                "{},{},{},{},{},{},{}",
-                e.proc.0, e.task.0, e.frame, ci, cn, e.start.0, e.end.0
-            );
-        }
-        out
-    }
 }
 
 #[cfg(test)]
@@ -311,17 +272,6 @@ mod tests {
     }
 
     #[test]
-    fn frame_completion_is_last_end() {
-        let mut t = ExecutionTrace::new(2);
-        t.push(entry(0, 0, 3, 0, 10));
-        t.push(entry(1, 1, 3, 10, 40));
-        t.push(entry(0, 2, 4, 12, 20));
-        assert_eq!(t.frame_completion(3), Some(Micros(40)));
-        assert_eq!(t.frame_completion(4), Some(Micros(20)));
-        assert_eq!(t.frame_completion(9), None);
-    }
-
-    #[test]
     fn task_slices_sorted() {
         let mut t = ExecutionTrace::new(2);
         t.push(entry(1, 7, 1, 20, 30));
@@ -346,30 +296,12 @@ mod tests {
     }
 
     #[test]
-    fn csv_export_roundtrips_fields() {
-        let mut t = ExecutionTrace::new(2);
-        t.push(entry(0, 3, 7, 100, 250));
-        t.push(TraceEntry {
-            proc: ProcId(1),
-            task: TaskId(3),
-            frame: 7,
-            chunk: Some((2, 4)),
-            start: Micros(250),
-            end: Micros(400),
-        });
-        let csv = t.to_csv();
-        let lines: Vec<&str> = csv.lines().collect();
-        assert_eq!(lines.len(), 3);
-        assert_eq!(
-            lines[0],
-            "proc,task,frame,chunk_idx,chunk_of,start_us,end_us"
-        );
-        assert_eq!(lines[1], "0,3,7,,,100,250");
-        assert_eq!(lines[2], "1,3,7,2,4,250,400");
-    }
-
-    #[test]
     fn chrome_export_is_valid_and_named() {
+        let to_json = |t: &ExecutionTrace, names: &[String]| {
+            let mut chrome = obs::ChromeTrace::new();
+            t.push_into_chrome(&mut chrome, 0, "simulated", names);
+            chrome.to_json()
+        };
         let mut t = ExecutionTrace::new(2);
         t.push(entry(0, 0, 0, 0, 10));
         t.push(TraceEntry {
@@ -380,7 +312,7 @@ mod tests {
             start: Micros(10),
             end: Micros(40),
         });
-        let json = t.to_chrome_json(&["Digitizer".to_string(), "Histogram".to_string()]);
+        let json = to_json(&t, &["Digitizer".to_string(), "Histogram".to_string()]);
         // 3 metadata (process + 2 threads) + 2 slices.
         assert_eq!(obs::chrome::validate(&json), Ok(5), "{json}");
         assert!(json.contains("Digitizer"));
@@ -388,7 +320,7 @@ mod tests {
         // Unknown task ids fall back to a stable name.
         let mut u = ExecutionTrace::new(1);
         u.push(entry(0, 9, 0, 0, 1));
-        assert!(u.to_chrome_json(&[]).contains("task9"));
+        assert!(to_json(&u, &[]).contains("task9"));
     }
 
     #[test]

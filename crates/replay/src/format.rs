@@ -1,8 +1,7 @@
 //! The `CDSREC01` columnar recording format.
 //!
 //! A [`Recording`] holds one run's replay inputs as sorted parallel
-//! columns — the same layout discipline as the STM columnar store, applied
-//! to a file: each event family (frames, skips, commits, switches) is a
+//! columns: each event family (frames, skips, commits, switches) is a
 //! count followed by its rows in canonical order, all integers
 //! little-endian. Canonical ordering makes encoding a pure function of
 //! content: two recordings with equal events serialize byte-identically,

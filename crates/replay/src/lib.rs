@@ -25,8 +25,7 @@
 //! verified per frame by an FNV-64 hash over the model locations.
 //!
 //! The [`Recording`] serializes to a columnar log (`CDSREC01`): sorted
-//! parallel columns per event family, so the file is a direct image of the
-//! STM store's bucketed layout and two encodes of equal content are
+//! parallel columns per event family, so two encodes of equal content are
 //! byte-identical — the determinism witness CI checks.
 //!
 //! `StageCtx` is crate-private to `runtime` (which depends on this one):

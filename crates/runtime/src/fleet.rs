@@ -153,9 +153,6 @@ pub struct TenantRun {
     pub class: PriorityClass,
     /// Where the tenant ended its lifecycle.
     pub state: LifecycleState,
-    /// Pool utilization observed at the rejection decision, for tenants
-    /// the gate turned away.
-    pub reject_utilization: Option<f64>,
     /// The tenant's application after the run (health ledger, face logs,
     /// channels, recorder) — `None` when rejected.
     pub app: Option<TrackerApp>,
@@ -233,7 +230,6 @@ struct TenantLive {
 struct TenantSlot {
     spec: TenantSpec,
     state: LifecycleState,
-    reject_utilization: Option<f64>,
     boost_ticks: Arc<AtomicU64>,
     halt: Arc<AtomicBool>,
     /// The tenant's own table handle: its `Arc<PipelinedSchedule>` clones
@@ -572,7 +568,6 @@ impl Fleet {
             slots.push(TenantSlot {
                 spec,
                 state: LifecycleState::Rejected,
-                reject_utilization: (!admitted).then_some(util),
                 boost_ticks: Arc::new(AtomicU64::new(0)),
                 halt: Arc::new(AtomicBool::new(false)),
                 table: None,
@@ -682,7 +677,6 @@ impl Fleet {
                         admitted: true,
                         class: slot.spec.class,
                         state: slot.state,
-                        reject_utilization: slot.reject_utilization,
                         sheds: app.measure.shed_count(),
                         app: Some(app),
                         stats: Some(stats),
@@ -693,7 +687,6 @@ impl Fleet {
                         admitted: slot.state != LifecycleState::Rejected,
                         class: slot.spec.class,
                         state: slot.state,
-                        reject_utilization: slot.reject_utilization,
                         app: None,
                         stats: None,
                         boost_ticks,
@@ -900,7 +893,6 @@ mod tests {
         for t in &run.tenants[2..] {
             assert!(!t.admitted);
             assert_eq!(t.state, LifecycleState::Rejected);
-            assert!(t.reject_utilization.is_some());
             assert!(t.app.is_none() && t.stats.is_none());
         }
         // Rejection degrades gracefully: admitted tenants still finish.

@@ -11,11 +11,11 @@
 //! re-scanning every connection's cursor state per reclaim ("maintain the
 //! min-uncovered frontier across consumers" rather than recompute it).
 //!
-//! Items live in a bucketed columnar [`ColumnStore`] (see `store.rs`):
-//! the logical reclaim floor advances per item exactly as the old per-item
-//! `BTreeMap` backing did, but physical memory is retired in whole buckets,
-//! and an optional retention budget keeps reclaimed payloads queryable
-//! through [`Channel::latest_at`] / [`Channel::range`].
+//! Items live in one time-sorted row queue, [`RowStore`] (see `store.rs`):
+//! the reclaim floor advances per item exactly as the old per-item
+//! `BTreeMap` backing did, and an optional retention budget keeps the
+//! newest reclaimed payloads queryable through [`Channel::latest_at`] /
+//! [`Channel::range`].
 //!
 //! The hottest read-only fields (`gc_floor`, live count, closed flag) are
 //! mirrored into atomics so monitoring reads never contend with blocked
@@ -30,7 +30,7 @@ use parking_lot::{Condvar, Mutex};
 use crate::connection::{ConnId, InputConn, OutputConn};
 use crate::error::{ConsumeError, GetMiss, MissReason, PutError};
 use crate::stats::{ChannelSnapshot, ChannelStats};
-use crate::store::{ColumnStore, StoreConfig};
+use crate::store::{RowStore, StoreConfig};
 use crate::time::Timestamp;
 use crate::wildcard::TsSpec;
 
@@ -63,10 +63,10 @@ impl InConnState {
 }
 
 pub(crate) struct State<T> {
-    /// The bucketed columnar item store. Owns the GC floor: everything
+    /// The time-sorted item store. Owns the GC floor: everything
     /// below `store.floor()` has been reclaimed (prefix GC); puts below it
     /// are rejected, so "one item per timestamp" stays enforceable forever.
-    pub(crate) store: ColumnStore<T>,
+    pub(crate) store: RowStore<T>,
     /// Timestamps the producer promised never to put (skipped frames).
     /// Tombstones, not items: they hold no value, don't count toward
     /// capacity, and are pruned as the GC floor passes them.
@@ -154,30 +154,22 @@ impl ChannelBuilder {
         self
     }
 
-    /// Bucket split threshold for the columnar store, in rows (default
-    /// [`crate::store::DEFAULT_BUCKET_ROWS`]). Larger buckets flatten the
-    /// lookup tree; smaller ones bound the cost of out-of-order inserts and
-    /// give memory back in finer grains.
-    #[must_use]
-    pub fn bucket_rows(mut self, rows: usize) -> Self {
-        assert!(rows >= 2, "bucket_rows must be at least 2");
-        self.store_cfg.bucket_rows = rows;
-        self
-    }
-
-    /// Keep up to `n` fully-reclaimed buckets as queryable history for
-    /// [`Channel::latest_at`] / [`Channel::range`] (default 0: payloads are
-    /// dropped the moment the GC floor passes them). History never counts
-    /// toward [`capacity`](Self::capacity) and is invisible to the
-    /// `get`/`consume` API.
+    /// Keep up to `n × 256` of the newest reclaimed items as queryable
+    /// history for [`Channel::latest_at`] / [`Channel::range`] (default 0:
+    /// payloads are dropped the moment the GC floor passes them;
+    /// `usize::MAX` keeps all). The unit is 256 rows because the store used
+    /// to retire history in buckets of 256, and callers sized their budgets
+    /// in those buckets. History never counts toward
+    /// [`capacity`](Self::capacity) and is invisible to the `get`/`consume`
+    /// API.
     #[must_use]
     pub fn retain_buckets(mut self, n: usize) -> Self {
-        self.store_cfg.retain_buckets = n;
+        self.store_cfg.retain_rows = n.saturating_mul(256);
         self
     }
 
-    /// Cap retained-history payload bytes; the store evicts whole buckets,
-    /// oldest first, to stay under the cap. Only meaningful together with
+    /// Cap retained-history payload bytes; the store evicts the oldest
+    /// history first to stay under the cap. Only meaningful together with
     /// [`retain_buckets`](Self::retain_buckets).
     #[must_use]
     pub fn retain_bytes(mut self, cap: usize) -> Self {
@@ -202,7 +194,7 @@ impl ChannelBuilder {
             inner: Arc::new(Inner {
                 name: self.name,
                 state: Mutex::new(State {
-                    store: ColumnStore::new(self.store_cfg, weigh),
+                    store: RowStore::new(self.store_cfg, weigh),
                     skipped: Default::default(),
                     in_conns: HashMap::new(),
                     out_count: 0,
@@ -523,8 +515,8 @@ impl<T> State<T> {
         if lo >= to {
             return 0;
         }
-        // Bucket-aware: binary-search to the start row once, then walk
-        // contiguous column slices (no per-item tree descent).
+        // One binary search to the start row, then one walk over the rows
+        // (no per-item tree descent).
         let consumed = &mut cs.consumed;
         self.store
             .bump_covered_range(lo.0, to.0, |t| consumed.insert(Timestamp(t)))

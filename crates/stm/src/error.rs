@@ -105,14 +105,6 @@ impl GetError {
             GetError::Closed | GetError::Unsatisfiable(MissReason::BelowFrontier)
         )
     }
-
-    /// True when the request merely ran out of time — the item may still
-    /// arrive later. Latest-value consumers are free to skip the frame and
-    /// move on (the STM consume semantics of the paper §2.1).
-    #[must_use]
-    pub fn is_timeout(&self) -> bool {
-        matches!(self, GetError::Timeout)
-    }
 }
 
 impl fmt::Display for GetError {
@@ -162,8 +154,6 @@ mod tests {
             "a skipped frame ends only that frame, not the stream"
         );
         assert!(!GetError::Timeout.is_end_of_stream());
-        assert!(GetError::Timeout.is_timeout());
-        assert!(!GetError::Closed.is_timeout());
     }
 
     #[test]

@@ -61,6 +61,5 @@ pub use channel::{Channel, ChannelBuilder};
 pub use connection::{GetOk, InputConn, OutputConn};
 pub use error::{ConsumeError, GetError, GetMiss, MissReason, PutError, StmResult};
 pub use stats::{ChannelSnapshot, ChannelStats};
-pub use store::DEFAULT_BUCKET_ROWS;
-pub use time::{Timestamp, TsDelta};
+pub use time::Timestamp;
 pub use wildcard::TsSpec;

@@ -1,15 +1,14 @@
-//! The pre-columnar per-item channel store, frozen in-tree as a
+//! The original per-item channel store, frozen in-tree as a
 //! bit-identity oracle (the PR 3 `online_ref.rs` pattern).
 //!
 //! [`RefChannel`] is a single-threaded transcription of the channel state
-//! machine exactly as it shipped before the bucketed columnar rewrite:
+//! machine exactly as it shipped before the store behind it was rewritten:
 //! items in a `BTreeMap`, per-item cover counts, prefix GC run at the same
 //! points the connection layer runs it (after every put, consume,
 //! consume-range and frontier advance). Property tests drive it in lockstep
 //! with a real [`crate::Channel`] over random out-of-order interleavings
 //! and assert every result — values, errors, miss neighbourhoods, lengths,
-//! floors — is identical; the `stmstore` bench uses it as the
-//! memory-growth baseline the bucket GC is judged against.
+//! floors — is identical (`tests/columnar_oracle.rs`).
 //!
 //! Nothing in the runtime depends on this module. Do not "improve" it: its
 //! value is that it stays exactly as the old store behaved.

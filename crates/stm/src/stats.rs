@@ -8,9 +8,9 @@ use crate::store::Occupancy;
 /// by the data-path benchmarks to observe lock contention on the online
 /// executor's hot path.
 ///
-/// Since the columnar store rewrite, occupancy is tracked in every unit the
-/// bucket GC policy is judged by: item counts, payload bytes (live and
-/// retained history), and bucket counts, each with a high-water mark.
+/// Occupancy is tracked in every unit the GC policy is judged by: item
+/// counts and payload bytes (live and retained history), each with a
+/// high-water mark.
 #[derive(Clone, Copy, PartialEq, Eq, Debug, Default)]
 pub struct ChannelStats {
     /// Successful puts.
@@ -32,12 +32,8 @@ pub struct ChannelStats {
     /// Payload bytes currently held as reclaimed-but-retained history.
     pub retained_bytes: usize,
     /// High-water mark of total payload bytes (live + retained history) —
-    /// the occupancy figure the bucket GC budget is judged against.
+    /// the occupancy figure the history budget is judged against.
     pub peak_bytes: usize,
-    /// Buckets currently allocated by the columnar store.
-    pub buckets: usize,
-    /// Maximum bucket count ever observed.
-    pub peak_buckets: usize,
     /// Blocking `get`s that had to wait at least once for an item.
     pub blocked_gets: u64,
     /// Total nanoseconds blocking `get`s spent parked on the condvar.
@@ -57,8 +53,6 @@ impl ChannelStats {
         self.bytes_live = occ.bytes_live;
         self.retained_bytes = occ.retained_bytes;
         self.peak_bytes = self.peak_bytes.max(occ.bytes_live + occ.retained_bytes);
-        self.buckets = occ.buckets;
-        self.peak_buckets = self.peak_buckets.max(occ.buckets);
     }
 
     /// Record a put and update occupancy peaks.
@@ -94,8 +88,7 @@ impl ChannelStats {
     /// Mean nanoseconds a *blocked* get spent parked (0.0 when no get ever
     /// blocked). Gets that found their item immediately are excluded — this
     /// measures how bad blocking was when it happened, not how often.
-    #[must_use]
-    pub fn blocked_wait_mean_ns(&self) -> f64 {
+    fn blocked_wait_mean_ns(&self) -> f64 {
         if self.blocked_gets == 0 {
             0.0
         } else {
@@ -115,7 +108,7 @@ impl std::fmt::Display for ChannelStats {
         write!(
             f,
             "puts={} gets={} misses={} live={}/{} (peak) bytes={}/{} (peak) \
-             buckets={}/{} (peak) reclaimed={} dropped={} blocked={} \
+             reclaimed={} dropped={} blocked={} \
              (mean {:.0} ns) locks={} gc={}",
             self.puts,
             self.gets,
@@ -124,8 +117,6 @@ impl std::fmt::Display for ChannelStats {
             self.peak_live,
             self.bytes_total(),
             self.peak_bytes,
-            self.buckets,
-            self.peak_buckets,
             self.reclaimed,
             self.dropped_live,
             self.blocked_gets,
@@ -158,7 +149,6 @@ mod tests {
             live,
             bytes_live: live * 8,
             retained_bytes: 0,
-            buckets: usize::from(live > 0),
         }
     }
 
@@ -175,7 +165,6 @@ mod tests {
         assert_eq!(s.peak_live, 2);
         assert_eq!(s.bytes_live, 8);
         assert_eq!(s.peak_bytes, 16);
-        assert_eq!(s.peak_buckets, 1);
     }
 
     #[test]
@@ -185,7 +174,6 @@ mod tests {
             live: 1,
             bytes_live: 10,
             retained_bytes: 30,
-            buckets: 3,
         });
         assert_eq!(s.bytes_total(), 40);
         assert_eq!(s.peak_bytes, 40);
@@ -195,7 +183,6 @@ mod tests {
                 live: 0,
                 bytes_live: 0,
                 retained_bytes: 0,
-                buckets: 0,
             },
         );
         assert_eq!(s.bytes_total(), 0);
@@ -243,7 +230,6 @@ mod tests {
         assert!(text.contains("puts=1"), "{text}");
         assert!(text.contains("live=3/3 (peak)"), "{text}");
         assert!(text.contains("bytes=24/24 (peak)"), "{text}");
-        assert!(text.contains("buckets=1/1 (peak)"), "{text}");
         assert!(text.contains("mean 200 ns"), "{text}");
     }
 }

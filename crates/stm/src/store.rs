@@ -1,69 +1,51 @@
-//! Bucketed columnar backing store for a channel's time-indexed items.
+//! The row store behind a channel: one time-sorted queue of items.
 //!
-//! The per-item `BTreeMap` backing (PRs 1–9) pays a node allocation and a
-//! rebalance per put and scales every scan with the live count. This module
-//! restructures the backing as **time-sorted buckets of parallel columns**,
-//! after the `re_arrow_store` design (SNIPPETS.md snippets 2–3):
+//! Each row holds a timestamp, the payload `Arc`, the row's incremental GC
+//! cover count and its payload byte weight. Rows sit in one `VecDeque`,
+//! sorted by time:
 //!
-//! * each bucket holds four parallel columns — `times` (the dense time
-//!   index, sorted), `values` (payload slots), `covered` (incremental GC
-//!   cover counts) and `weights` (payload byte sizes);
-//! * buckets are non-overlapping and globally time-sorted, so every lookup
-//!   is a binary search over bucket maxima plus a binary search inside one
-//!   bucket;
-//! * a bucket splits once it exceeds `bucket_rows` rows, keeping the
-//!   in-bucket `Vec::insert` cost of out-of-order puts bounded. Monotone
-//!   appends (the steady-state pipeline) never split: they fill the tail
-//!   bucket and then open a fresh one, O(1) amortized.
+//! ```text
+//!   rows: [ h0 h1 h2 | l0 l1 l2 l3 ]
+//!           retained    live (ts >= floor)
+//!           history     puts land here: push_back, or insert at
+//!           (ts < floor) their partition point when out of order
+//! ```
 //!
-//! # GC: logical floor vs. physical retirement
+//! Every lookup is one binary search plus one walk over a contiguous run
+//! of rows. Monotone puts (every production channel) are a `push_back`;
+//! an out-of-order put shifts the rows after it, which is cheap because a
+//! channel holds a handful of live items.
 //!
-//! Reclamation is split in two, which is the whole point of the layout:
+//! # GC: floor and history
 //!
-//! * the **logical floor** advances per item exactly as before (prefix of
-//!   rows whose cover count equals the attached-consumer count), so the
-//!   channel API — duplicate rejection, `BelowFrontier`, capacity — is
-//!   bit-identical to the per-item store;
-//! * **physical memory** is retired in whole buckets: a bucket is freed
-//!   once every row in it is below the floor. With history retention off
-//!   (the default) payload slots are dropped eagerly as the floor passes
-//!   them — preserving the old store's buffer-recycling timing — and only
-//!   the cheap index columns wait for bucket retirement. With
-//!   `retain_buckets > 0`, reclaimed payloads are kept as *retained
-//!   history* servable through [`ColumnStore::latest_at`] /
-//!   [`ColumnStore::range_query`], and the retention budget (bucket count
-//!   and byte cap) drives whole-bucket eviction, oldest first.
-//!
-//! The tradeoff mirrors the one documented by `re_arrow_store`: query cost
-//! scales inverse-logarithmically with bucket size (fewer, larger buckets →
-//! flatter search tree), while the cost of a mid-bucket insert — and the
-//! granularity of memory give-back — scales linearly with it.
+//! The **floor** advances over the prefix of live rows whose cover count
+//! equals the attached-consumer count, exactly as the per-item store did,
+//! so duplicate rejection, `BelowFrontier` and capacity behave the same.
+//! Each row the floor passes becomes history. History is trimmed
+//! oldest-first while it holds more rows than the row cap or more payload
+//! bytes than the byte cap. With retention off (the default, a row cap of
+//! zero) a passed row is popped in the same reclaim call, which releases
+//! its payload `Arc` before the channel lock is dropped, so buffer pools
+//! see their buffers return at once. With retention on, history answers
+//! [`RowStore::latest_at`] and [`RowStore::range_query`].
 
 use std::collections::VecDeque;
 use std::sync::Arc;
 
-/// Default bucket split threshold, in rows. Large enough that steady-state
-/// pipelines (tens of live items) stay in one bucket; small enough that a
-/// mid-bucket insert moves at most a few hundred slots.
-pub const DEFAULT_BUCKET_ROWS: usize = 256;
-
-/// Sizing/retention knobs for a [`ColumnStore`].
+/// History budget of a [`RowStore`].
 #[derive(Clone, Copy, Debug)]
 pub(crate) struct StoreConfig {
-    /// Split a bucket once it holds more rows than this.
-    pub(crate) bucket_rows: usize,
-    /// Number of fully-reclaimed buckets to keep as queryable history
-    /// (0 = drop payloads eagerly, the classic per-item behavior).
-    pub(crate) retain_buckets: usize,
-    /// Byte cap on retained-history payloads; evicts oldest buckets first.
+    /// Reclaimed rows to keep as queryable history (0: drop each payload
+    /// as the floor passes it).
+    pub(crate) retain_rows: usize,
+    /// Byte cap on history payloads.
     pub(crate) retain_bytes: usize,
 }
 
 impl Default for StoreConfig {
     fn default() -> Self {
         StoreConfig {
-            bucket_rows: DEFAULT_BUCKET_ROWS,
-            retain_buckets: 0,
+            retain_rows: 0,
             retain_bytes: usize::MAX,
         }
     }
@@ -78,63 +60,39 @@ pub(crate) struct Occupancy {
     pub(crate) bytes_live: usize,
     /// Payload bytes held as reclaimed-but-retained history.
     pub(crate) retained_bytes: usize,
-    /// Buckets currently allocated.
-    pub(crate) buckets: usize,
 }
 
-/// One bucket: parallel columns over a contiguous, sorted time range.
-struct Bucket<T> {
-    times: Vec<u64>,
-    values: Vec<Option<Arc<T>>>,
-    covered: Vec<u32>,
-    weights: Vec<u32>,
-    /// Sum of `weights[i]` over rows whose payload slot is occupied.
-    bytes: usize,
+struct Row<T> {
+    ts: u64,
+    value: Arc<T>,
+    covered: u32,
+    weight: usize,
 }
 
-impl<T> Bucket<T> {
-    fn with_row(ts: u64, value: Arc<T>, covered: u32, weight: u32) -> Self {
-        Bucket {
-            times: vec![ts],
-            values: vec![Some(value)],
-            covered: vec![covered],
-            weights: vec![weight],
-            bytes: weight as usize,
-        }
-    }
-
-    /// Largest timestamp in the bucket.
-    fn max_time(&self) -> u64 {
-        // INVARIANT: buckets always hold at least one row — rows are only
-        // removed by retiring the whole bucket.
-        *self.times.last().expect("bucket non-empty")
-    }
-}
-
-/// The bucketed columnar store. All methods assume the caller (the channel
-/// state, under its lock) has already validated timestamps against the
-/// floor and duplicate rules.
-pub(crate) struct ColumnStore<T> {
-    buckets: VecDeque<Bucket<T>>,
+/// The row store. All methods assume the caller (the channel state, under
+/// its lock) has already validated timestamps against the floor and
+/// duplicate rules.
+pub(crate) struct RowStore<T> {
+    /// Sorted by `ts`; the first `retained` rows are history below the
+    /// floor, the rest are live.
+    rows: VecDeque<Row<T>>,
+    retained: usize,
     cfg: StoreConfig,
-    /// Everything below this is logically reclaimed (the channel's
-    /// `gc_floor`).
+    /// Everything below this is reclaimed (the channel's `gc_floor`).
     floor: u64,
-    live_rows: usize,
     bytes_live: usize,
     bytes_retained: usize,
     /// Payload byte sizing hook (defaults to `size_of::<T>()`).
     weigh: fn(&T) -> usize,
 }
 
-impl<T> ColumnStore<T> {
+impl<T> RowStore<T> {
     pub(crate) fn new(cfg: StoreConfig, weigh: fn(&T) -> usize) -> Self {
-        debug_assert!(cfg.bucket_rows >= 2, "bucket_rows must be at least 2");
-        ColumnStore {
-            buckets: VecDeque::new(),
+        RowStore {
+            rows: VecDeque::new(),
+            retained: 0,
             cfg,
             floor: 0,
-            live_rows: 0,
             bytes_live: 0,
             bytes_retained: 0,
             weigh,
@@ -146,149 +104,81 @@ impl<T> ColumnStore<T> {
     }
 
     pub(crate) fn len_live(&self) -> usize {
-        self.live_rows
+        self.rows.len() - self.retained
     }
 
     pub(crate) fn occupancy(&self) -> Occupancy {
         Occupancy {
-            live: self.live_rows,
+            live: self.len_live(),
             bytes_live: self.bytes_live,
             retained_bytes: self.bytes_retained,
-            buckets: self.buckets.len(),
         }
     }
 
-    /// Index of the first bucket whose max time is `>= ts` (i.e. the bucket
-    /// `ts` would live in), or `buckets.len()` when `ts` is beyond all.
-    fn bucket_idx_for(&self, ts: u64) -> usize {
-        self.buckets.partition_point(|b| b.max_time() < ts)
+    /// Index of the first row with a timestamp `>= ts`.
+    fn lower_bound(&self, ts: u64) -> usize {
+        self.rows.partition_point(|r| r.ts < ts)
     }
 
-    /// Row index of the first live row in bucket `b` (skips retained /
-    /// cleared history below the floor).
-    fn live_start(&self, b: &Bucket<T>) -> usize {
-        b.times.partition_point(|&t| t < self.floor)
+    /// Index of the live row at exactly `ts`.
+    fn find_live(&self, ts: u64) -> Option<usize> {
+        if ts < self.floor {
+            return None;
+        }
+        self.rows.binary_search_by_key(&ts, |r| r.ts).ok()
     }
 
     /// Smallest live timestamp, if any.
     pub(crate) fn first_live(&self) -> Option<u64> {
-        self.first_match(0, |_| true)
+        self.rows.get(self.retained).map(|r| r.ts)
     }
 
     /// Largest live timestamp, if any.
     pub(crate) fn last_live(&self) -> Option<u64> {
-        let bi = self.buckets.len().checked_sub(1)?;
-        let b = &self.buckets[bi];
-        let t = b.max_time();
-        (t >= self.floor).then_some(t)
+        self.rows.back().map(|r| r.ts).filter(|&t| t >= self.floor)
     }
 
     /// Whether a live row exists at exactly `ts`.
     pub(crate) fn contains_live(&self, ts: u64) -> bool {
-        if ts < self.floor {
-            return false;
-        }
-        let bi = self.bucket_idx_for(ts);
-        self.buckets
-            .get(bi)
-            .is_some_and(|b| b.times.binary_search(&ts).is_ok())
+        self.find_live(ts).is_some()
     }
 
     /// Clone the payload of the live row at `ts`.
     pub(crate) fn clone_value(&self, ts: u64) -> Option<Arc<T>> {
-        if ts < self.floor {
-            return None;
-        }
-        let b = self.buckets.get(self.bucket_idx_for(ts))?;
-        let i = b.times.binary_search(&ts).ok()?;
-        b.values[i].clone()
+        self.find_live(ts).map(|i| Arc::clone(&self.rows[i].value))
     }
 
-    /// Insert a live row. The caller guarantees `ts >= floor` and that no
-    /// row (live or retained) exists at `ts`.
+    /// Insert a live row at its place in time order (the back, for a
+    /// monotone put). The caller guarantees `ts >= floor` and that no live
+    /// row exists at `ts`; history is all below the floor, so the row
+    /// always lands among the live ones.
     pub(crate) fn insert(&mut self, ts: u64, value: Arc<T>, covered: u32) {
         debug_assert!(ts >= self.floor, "insert below floor");
-        let w = (self.weigh)(&value);
-        let w32 = u32::try_from(w).unwrap_or(u32::MAX);
-        let rows = self.cfg.bucket_rows;
-        let bi = self.bucket_idx_for(ts);
-        if bi == self.buckets.len() {
-            // Append path: ts is newer than everything stored. Fill the tail
-            // bucket until the split threshold, then open a fresh one —
-            // monotone producers never trigger a split.
-            match self.buckets.back_mut() {
-                Some(b) if b.times.len() < rows => {
-                    b.times.push(ts);
-                    b.values.push(Some(value));
-                    b.covered.push(covered);
-                    b.weights.push(w32);
-                    b.bytes += w;
-                }
-                _ => self
-                    .buckets
-                    .push_back(Bucket::with_row(ts, value, covered, w32)),
-            }
-        } else {
-            let b = &mut self.buckets[bi];
-            let i = b.times.partition_point(|&t| t < ts);
-            debug_assert!(b.times.get(i) != Some(&ts), "duplicate row");
-            b.times.insert(i, ts);
-            b.values.insert(i, Some(value));
-            b.covered.insert(i, covered);
-            b.weights.insert(i, w32);
-            b.bytes += w;
-            if b.times.len() > rows {
-                self.split(bi);
-            }
-        }
-        self.live_rows += 1;
-        self.bytes_live += w;
-    }
-
-    /// Split bucket `bi` at its midpoint (out-of-order insert overflow).
-    fn split(&mut self, bi: usize) {
-        let b = &mut self.buckets[bi];
-        let mid = b.times.len() / 2;
-        let times = b.times.split_off(mid);
-        let values = b.values.split_off(mid);
-        let covered = b.covered.split_off(mid);
-        let weights = b.weights.split_off(mid);
-        let bytes: usize = values
-            .iter()
-            .zip(&weights)
-            .filter(|(v, _)| v.is_some())
-            .map(|(_, &w)| w as usize)
-            .sum();
-        b.bytes -= bytes;
-        self.buckets.insert(
-            bi + 1,
-            Bucket {
-                times,
-                values,
+        let weight = (self.weigh)(&value);
+        let i = self.lower_bound(ts);
+        debug_assert!(self.rows.get(i).is_none_or(|r| r.ts != ts), "duplicate row");
+        self.rows.insert(
+            i,
+            Row {
+                ts,
+                value,
                 covered,
-                weights,
-                bytes,
+                weight,
             },
         );
+        self.bytes_live += weight;
     }
 
     /// Increment the cover count of the live row at `ts`, if present.
     pub(crate) fn bump_covered(&mut self, ts: u64) {
-        if ts < self.floor {
-            return;
-        }
-        let bi = self.bucket_idx_for(ts);
-        if let Some(b) = self.buckets.get_mut(bi) {
-            if let Ok(i) = b.times.binary_search(&ts) {
-                b.covered[i] += 1;
-            }
+        if let Some(i) = self.find_live(ts) {
+            self.rows[i].covered += 1;
         }
     }
 
     /// For every live row in `[lo, hi)`, call `cover(ts)`; increment the
     /// row's cover count when it returns true. Returns the number of rows
-    /// newly covered. Bucket-aware: binary-searches to the start row, then
-    /// walks contiguous column slices.
+    /// newly covered.
     pub(crate) fn bump_covered_range(
         &mut self,
         lo: u64,
@@ -299,72 +189,41 @@ impl<T> ColumnStore<T> {
         if lo >= hi {
             return 0;
         }
+        let start = self.lower_bound(lo);
         let mut n = 0;
-        let mut bi = self.bucket_idx_for(lo);
-        while bi < self.buckets.len() {
-            let b = &mut self.buckets[bi];
-            let start = b.times.partition_point(|&t| t < lo);
-            for i in start..b.times.len() {
-                let t = b.times[i];
-                if t >= hi {
-                    return n;
-                }
-                if cover(t) {
-                    b.covered[i] += 1;
-                    n += 1;
-                }
+        for r in self.rows.range_mut(start..) {
+            if r.ts >= hi {
+                break;
             }
-            bi += 1;
+            if cover(r.ts) {
+                r.covered += 1;
+                n += 1;
+            }
         }
         n
     }
 
     /// Visit every live row's cover count mutably (input-detach un-counting).
     pub(crate) fn for_each_live_covered_mut(&mut self, mut f: impl FnMut(u64, &mut u32)) {
-        let floor = self.floor;
-        let bi0 = self.bucket_idx_for(floor);
-        for bi in bi0..self.buckets.len() {
-            let b = &mut self.buckets[bi];
-            let start = b.times.partition_point(|&t| t < floor);
-            for i in start..b.times.len() {
-                f(b.times[i], &mut b.covered[i]);
-            }
+        for r in self.rows.range_mut(self.retained..) {
+            f(r.ts, &mut r.covered);
         }
     }
 
     /// Smallest live timestamp `>= lower` satisfying `pred`.
     pub(crate) fn first_match(&self, lower: u64, mut pred: impl FnMut(u64) -> bool) -> Option<u64> {
-        let lo = lower.max(self.floor);
-        let mut bi = self.bucket_idx_for(lo);
-        while bi < self.buckets.len() {
-            let b = &self.buckets[bi];
-            let start = b.times.partition_point(|&t| t < lo);
-            for &t in &b.times[start..] {
-                if pred(t) {
-                    return Some(t);
-                }
-            }
-            bi += 1;
-        }
-        None
+        let start = self.lower_bound(lower.max(self.floor));
+        self.rows.range(start..).map(|r| r.ts).find(|&t| pred(t))
     }
 
     /// Largest live timestamp `>= lower` satisfying `pred`.
     pub(crate) fn last_match(&self, lower: u64, mut pred: impl FnMut(u64) -> bool) -> Option<u64> {
-        let lo = lower.max(self.floor);
-        for bi in (0..self.buckets.len()).rev() {
-            let b = &self.buckets[bi];
-            if b.max_time() < lo {
-                break;
-            }
-            let start = b.times.partition_point(|&t| t < lo);
-            for &t in b.times[start..].iter().rev() {
-                if pred(t) {
-                    return Some(t);
-                }
-            }
-        }
-        None
+        let start = self.lower_bound(lower.max(self.floor));
+        self.rows
+            .range(start..)
+            .rev()
+            .map(|r| r.ts)
+            .find(|&t| pred(t))
     }
 
     /// Live timestamps neighbouring `point`: the largest live row strictly
@@ -372,196 +231,113 @@ impl<T> ColumnStore<T> {
     /// returns the largest live row overall (the old store's miss shape).
     pub(crate) fn neighbors(&self, point: Option<u64>) -> (Option<u64>, Option<u64>) {
         match point {
-            Some(p) => (self.live_below(p), self.first_match(p, |_| true)),
+            Some(p) => {
+                let end = self.lower_bound(p.max(self.floor));
+                let below = end.checked_sub(1).filter(|&i| i >= self.retained);
+                (
+                    below.map(|i| self.rows[i].ts),
+                    self.rows.get(end).map(|r| r.ts),
+                )
+            }
             None => (self.last_live(), None),
         }
     }
 
-    /// Largest live timestamp strictly below `p`.
-    fn live_below(&self, p: u64) -> Option<u64> {
-        if p <= self.floor {
-            return None;
-        }
-        let hi_bi = self
-            .bucket_idx_for(p)
-            .min(self.buckets.len().saturating_sub(1));
-        for bi in (0..=hi_bi).rev() {
-            let b = self.buckets.get(bi)?;
-            let start = self.live_start(b);
-            let end = b.times.partition_point(|&t| t < p);
-            if end > start {
-                return Some(b.times[end - 1]);
-            }
-            if start > 0 {
-                // Rows below `start` are history; nothing live further down
-                // in this bucket, and earlier buckets are older still.
-                return None;
-            }
-        }
-        None
-    }
-
     /// Reclaim the covered prefix: advance the floor over live rows while
-    /// their cover count equals `n_in`, then retire buckets that have fully
-    /// passed below the floor (subject to the history-retention budget).
+    /// their cover count equals `n_in`, then trim history to its budget.
     /// Returns the number of rows reclaimed.
     pub(crate) fn reclaim(&mut self, n_in: usize) -> u64 {
         let n_in = u32::try_from(n_in).unwrap_or(u32::MAX);
-        let retain = self.cfg.retain_buckets > 0;
         let mut n = 0u64;
-        'buckets: loop {
-            let bi = self.bucket_idx_for(self.floor);
-            let Some(b) = self.buckets.get_mut(bi) else {
-                break;
-            };
-            let start = b.times.partition_point(|&t| t < self.floor);
-            for i in start..b.times.len() {
-                if b.covered[i] != n_in {
-                    break 'buckets;
-                }
-                self.floor = b.times[i] + 1;
-                self.live_rows -= 1;
-                let w = b.weights[i] as usize;
-                self.bytes_live -= w;
-                if retain {
-                    self.bytes_retained += w;
-                } else {
-                    // Eager payload drop: preserves the per-item store's
-                    // Arc-release timing (buffer pools see returns at the
-                    // same instant); only the index columns await bucket
-                    // retirement.
-                    b.values[i] = None;
-                    b.bytes -= w;
-                }
-                n += 1;
-            }
-            if bi == self.buckets.len() - 1 {
+        while let Some(r) = self.rows.get(self.retained) {
+            if r.covered != n_in {
                 break;
             }
+            self.floor = r.ts + 1;
+            self.bytes_live -= r.weight;
+            self.bytes_retained += r.weight;
+            self.retained += 1;
+            n += 1;
         }
-        if n > 0 {
-            self.retire();
+        while self.retained > 0
+            && (self.retained > self.cfg.retain_rows || self.bytes_retained > self.cfg.retain_bytes)
+        {
+            if let Some(r) = self.rows.pop_front() {
+                self.retained -= 1;
+                self.bytes_retained -= r.weight;
+            }
         }
         n
-    }
-
-    /// Pop fully-passed buckets from the front while over the retention
-    /// budget (bucket count or byte cap). Whole-bucket granularity is the
-    /// GC: no per-row removal ever happens.
-    fn retire(&mut self) {
-        loop {
-            // Leading buckets entirely below the floor.
-            let passed = self.bucket_idx_for(self.floor);
-            if passed == 0 {
-                return;
-            }
-            let over_count = passed > self.cfg.retain_buckets;
-            let over_bytes = self.bytes_retained > self.cfg.retain_bytes;
-            if !(over_count || over_bytes) {
-                return;
-            }
-            if let Some(b) = self.buckets.pop_front() {
-                // Every occupied slot in a fully-passed bucket is retained
-                // history, so its `bytes` is entirely retained bytes.
-                self.bytes_retained -= b.bytes;
-            }
-        }
     }
 
     /// Newest retained-or-live payload at or before `ts` — the time-travel
     /// query for late-joining consumers and the replay reader. Ignores
     /// consumer cursor state entirely.
     pub(crate) fn latest_at(&self, ts: u64) -> Option<(u64, Arc<T>)> {
-        let hi_bi = self
-            .bucket_idx_for(ts)
-            .min(self.buckets.len().checked_sub(1)?);
-        for bi in (0..=hi_bi).rev() {
-            let b = &self.buckets[bi];
-            let end = b.times.partition_point(|&t| t <= ts);
-            for i in (0..end).rev() {
-                if let Some(v) = &b.values[i] {
-                    return Some((b.times[i], Arc::clone(v)));
-                }
-            }
-        }
-        None
+        let end = self.rows.partition_point(|r| r.ts <= ts);
+        let r = &self.rows[end.checked_sub(1)?];
+        Some((r.ts, Arc::clone(&r.value)))
     }
 
     /// All retained-or-live payloads with timestamps in `[lo, hi)`, oldest
     /// first.
     pub(crate) fn range_query(&self, lo: u64, hi: u64) -> Vec<(u64, Arc<T>)> {
-        let mut out = Vec::new();
-        if lo >= hi {
-            return out;
-        }
-        let mut bi = self.bucket_idx_for(lo);
-        'buckets: while bi < self.buckets.len() {
-            let b = &self.buckets[bi];
-            let start = b.times.partition_point(|&t| t < lo);
-            for i in start..b.times.len() {
-                let t = b.times[i];
-                if t >= hi {
-                    break 'buckets;
-                }
-                if let Some(v) = &b.values[i] {
-                    out.push((t, Arc::clone(v)));
-                }
-            }
-            bi += 1;
-        }
-        out
+        self.rows
+            .range(self.lower_bound(lo)..)
+            .take_while(|r| r.ts < hi)
+            .map(|r| (r.ts, Arc::clone(&r.value)))
+            .collect()
     }
 
     /// Live rows as `(ts, covered)` pairs, oldest first (test support).
     #[cfg(test)]
     pub(crate) fn live_rows_snapshot(&self) -> Vec<(u64, u32)> {
-        let mut out = Vec::new();
-        let bi0 = self.bucket_idx_for(self.floor);
-        for bi in bi0..self.buckets.len() {
-            let b = &self.buckets[bi];
-            for i in self.live_start(b)..b.times.len() {
-                out.push((b.times[i], b.covered[i]));
-            }
-        }
-        out
+        self.rows
+            .range(self.retained..)
+            .map(|r| (r.ts, r.covered))
+            .collect()
     }
 
-    /// Structural invariants: bucket ordering, row counts, byte accounting.
+    /// Structural invariants: ordering, the history/live split, byte
+    /// accounting and the history budget.
     #[cfg(test)]
     pub(crate) fn check_invariants(&self) {
-        let mut prev: Option<u64> = None;
-        let mut live = 0usize;
-        let mut bytes_live = 0usize;
-        let mut bytes_retained = 0usize;
-        for b in &self.buckets {
-            assert!(!b.times.is_empty(), "empty bucket");
-            assert_eq!(b.times.len(), b.values.len());
-            assert_eq!(b.times.len(), b.covered.len());
-            assert_eq!(b.times.len(), b.weights.len());
-            let mut bucket_bytes = 0usize;
-            for i in 0..b.times.len() {
-                let t = b.times[i];
-                if let Some(p) = prev {
-                    assert!(t > p, "times not strictly increasing: {p} then {t}");
-                }
-                prev = Some(t);
-                if t >= self.floor {
-                    assert!(b.values[i].is_some(), "live row {t} lost its payload");
-                    live += 1;
-                    bytes_live += b.weights[i] as usize;
-                    bucket_bytes += b.weights[i] as usize;
-                } else if b.values[i].is_some() {
-                    bytes_retained += b.weights[i] as usize;
-                    bucket_bytes += b.weights[i] as usize;
-                }
-            }
-            assert_eq!(b.bytes, bucket_bytes, "bucket byte accounting diverged");
+        for (a, b) in self.rows.iter().zip(self.rows.iter().skip(1)) {
+            assert!(
+                a.ts < b.ts,
+                "times not strictly increasing: {} then {}",
+                a.ts,
+                b.ts
+            );
         }
-        assert_eq!(live, self.live_rows, "live row count diverged");
-        assert_eq!(bytes_live, self.bytes_live, "live byte count diverged");
+        let (history, live) = (
+            self.rows.range(..self.retained),
+            self.rows.range(self.retained..),
+        );
+        assert!(
+            history.clone().all(|r| r.ts < self.floor),
+            "history above floor"
+        );
+        assert!(
+            live.clone().all(|r| r.ts >= self.floor),
+            "live row below floor"
+        );
+        let bytes = |rows: std::collections::vec_deque::Iter<'_, Row<T>>| {
+            rows.map(|r| r.weight).sum::<usize>()
+        };
+        assert_eq!(bytes(live), self.bytes_live, "live byte count diverged");
         assert_eq!(
-            bytes_retained, self.bytes_retained,
+            bytes(history),
+            self.bytes_retained,
             "retained byte count diverged"
+        );
+        assert!(
+            self.retained <= self.cfg.retain_rows,
+            "history over row cap"
+        );
+        assert!(
+            self.bytes_retained <= self.cfg.retain_bytes,
+            "history over byte cap"
         );
     }
 }
@@ -570,145 +346,122 @@ impl<T> ColumnStore<T> {
 mod tests {
     use super::*;
 
-    fn store(bucket_rows: usize, retain: usize) -> ColumnStore<u64> {
-        ColumnStore::new(
+    fn store(retain_rows: usize, retain_bytes: usize) -> RowStore<u64> {
+        RowStore::new(
             StoreConfig {
-                bucket_rows,
-                retain_buckets: retain,
-                retain_bytes: usize::MAX,
+                retain_rows,
+                retain_bytes,
             },
             |_| 8,
         )
     }
 
+    fn live(s: &RowStore<u64>) -> Vec<u64> {
+        s.live_rows_snapshot().iter().map(|r| r.0).collect()
+    }
+
     #[test]
-    fn monotone_appends_fill_then_open_buckets() {
-        let mut s = store(4, 0);
-        for t in 0..10 {
+    fn out_of_order_inserts_stay_sorted() {
+        let mut s = store(0, usize::MAX);
+        for t in [0u64, 2, 4, 6, 3, 9, 1] {
             s.insert(t, Arc::new(t), 0);
         }
-        assert_eq!(s.occupancy().buckets, 3, "4 + 4 + 2 rows");
-        assert_eq!(s.len_live(), 10);
+        assert_eq!(live(&s), vec![0, 1, 2, 3, 4, 6, 9]);
+        assert_eq!(s.len_live(), 7);
         assert_eq!(s.first_live(), Some(0));
         assert_eq!(s.last_live(), Some(9));
         s.check_invariants();
     }
 
     #[test]
-    fn out_of_order_insert_splits_at_threshold() {
-        let mut s = store(4, 0);
-        for t in [0u64, 2, 4, 6] {
-            s.insert(t, Arc::new(t), 0);
-        }
-        assert_eq!(s.occupancy().buckets, 1);
-        // Mid-bucket insert overflows the 4-row bucket and splits it.
-        s.insert(3, Arc::new(3), 0);
-        assert_eq!(s.occupancy().buckets, 2);
-        assert_eq!(
-            s.live_rows_snapshot()
-                .iter()
-                .map(|r| r.0)
-                .collect::<Vec<_>>(),
-            vec![0, 2, 3, 4, 6]
-        );
-        s.check_invariants();
-    }
-
-    #[test]
-    fn reclaim_advances_floor_and_retires_buckets() {
-        let mut s = store(4, 0);
-        for t in 0..8 {
+    fn reclaim_advances_floor_and_drops_payloads() {
+        let mut s = store(0, usize::MAX);
+        let first = Arc::new(0u64);
+        s.insert(0, Arc::clone(&first), 1);
+        for t in 1..8 {
             s.insert(t, Arc::new(t), 1);
         }
         assert_eq!(s.reclaim(1), 8);
         assert_eq!(s.floor(), 8);
         assert_eq!(s.len_live(), 0);
-        assert_eq!(s.occupancy().buckets, 0, "no retention: all retired");
         assert_eq!(s.occupancy().bytes_live, 0);
+        assert_eq!(s.occupancy().retained_bytes, 0);
+        assert_eq!(Arc::strong_count(&first), 1, "payload released at reclaim");
         s.check_invariants();
     }
 
     #[test]
-    fn partial_coverage_stops_reclaim_mid_bucket() {
-        let mut s = store(4, 0);
+    fn partial_coverage_stops_reclaim() {
+        let mut s = store(0, usize::MAX);
         for t in 0..6 {
-            s.insert(t, Arc::new(t), u32::from(t < 3));
+            s.insert(t, Arc::new(t), u32::from(t != 3));
         }
         assert_eq!(s.reclaim(1), 3);
         assert_eq!(s.floor(), 3);
-        assert_eq!(s.len_live(), 3);
-        // First bucket (rows 0..4) still holds live row 3 → not retired.
-        assert_eq!(s.occupancy().buckets, 2);
+        assert_eq!(live(&s), vec![3, 4, 5], "uncovered row 3 holds the rest");
         s.check_invariants();
     }
 
     #[test]
-    fn retention_keeps_history_for_latest_at() {
-        let mut s = store(2, 2);
+    fn row_cap_keeps_newest_history_for_latest_at() {
+        let mut s = store(4, usize::MAX);
         for t in 0..6 {
             s.insert(t, Arc::new(t * 10), 1);
         }
         assert_eq!(s.reclaim(1), 6);
         assert_eq!(s.len_live(), 0);
-        // Budget of 2 buckets × 2 rows: history 2..6 retained, 0..2 evicted.
-        assert_eq!(s.occupancy().buckets, 2);
+        assert_eq!(s.occupancy().retained_bytes, 4 * 8);
         assert_eq!(s.latest_at(5).map(|(t, v)| (t, *v)), Some((5, 50)));
         assert_eq!(s.latest_at(2).map(|(t, v)| (t, *v)), Some((2, 20)));
-        assert_eq!(s.latest_at(1), None, "evicted beyond the bucket budget");
+        assert_eq!(s.latest_at(1), None, "evicted beyond the row cap");
         let r: Vec<u64> = s.range_query(0, 10).iter().map(|(t, _)| *t).collect();
         assert_eq!(r, vec![2, 3, 4, 5]);
         s.check_invariants();
     }
 
     #[test]
-    fn byte_budget_evicts_oldest_history_first() {
-        let mut s = ColumnStore::new(
-            StoreConfig {
-                bucket_rows: 2,
-                retain_buckets: 100,
-                retain_bytes: 40, // 5 rows of 8 bytes
-            },
-            |_| 8,
-        );
+    fn byte_cap_evicts_oldest_history_first() {
+        let mut s = store(100, 40); // 5 rows of 8 bytes
         for t in 0..8 {
             s.insert(t, Arc::new(t), 1);
         }
         s.reclaim(1);
-        assert!(s.occupancy().retained_bytes <= 40);
+        assert_eq!(s.occupancy().retained_bytes, 40);
         assert_eq!(s.latest_at(7).map(|(t, _)| t), Some(7));
-        assert_eq!(s.latest_at(3), None, "oldest buckets evicted by byte cap");
+        assert_eq!(s.latest_at(3).map(|(t, _)| t), Some(3));
+        assert_eq!(s.latest_at(2), None, "oldest rows evicted by the byte cap");
         s.check_invariants();
     }
 
     #[test]
-    fn latest_at_skips_cleared_slots_without_retention() {
-        let mut s = store(4, 0);
+    fn latest_at_sees_no_reclaimed_row_without_retention() {
+        let mut s = store(0, usize::MAX);
         for t in 0..6 {
             s.insert(t, Arc::new(t), u32::from(t < 5));
         }
         s.reclaim(1);
-        // Rows 0..5 reclaimed; without retention their payloads are gone
-        // even though bucket 1 (rows 4..6) still holds live row 5.
         assert_eq!(s.latest_at(4), None);
         assert_eq!(s.latest_at(9).map(|(t, _)| t), Some(5));
         s.check_invariants();
     }
 
     #[test]
-    fn neighbors_span_bucket_boundaries() {
-        let mut s = store(2, 0);
+    fn neighbors_ignore_history() {
+        let mut s = store(8, usize::MAX);
         for t in [1u64, 3, 5, 7] {
-            s.insert(t, Arc::new(t), 0);
+            s.insert(t, Arc::new(t), u32::from(t == 1));
         }
+        s.reclaim(1);
         assert_eq!(s.neighbors(Some(4)), (Some(3), Some(5)));
-        assert_eq!(s.neighbors(Some(1)), (None, Some(1)));
+        assert_eq!(s.neighbors(Some(3)), (None, Some(3)), "row 1 is history");
+        assert_eq!(s.neighbors(Some(0)), (None, Some(3)));
         assert_eq!(s.neighbors(Some(9)), (Some(7), None));
         assert_eq!(s.neighbors(None), (Some(7), None));
     }
 
     #[test]
     fn matches_respect_floor_and_predicate() {
-        let mut s = store(3, 0);
+        let mut s = store(8, usize::MAX);
         for t in 0..9 {
             s.insert(t, Arc::new(t), u32::from(t < 4));
         }
@@ -716,6 +469,7 @@ mod tests {
         assert_eq!(s.first_match(0, |_| true), Some(4));
         assert_eq!(s.first_match(0, |t| t % 2 == 1), Some(5));
         assert_eq!(s.last_match(0, |t| t % 2 == 0), Some(8));
+        assert_eq!(s.last_match(0, |t| t < 4), None, "history never matches");
         assert_eq!(s.last_match(7, |t| t % 2 == 1), Some(7));
         assert_eq!(s.first_match(20, |_| true), None);
     }

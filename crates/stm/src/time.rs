@@ -7,7 +7,6 @@
 //! Figures 4–5 all share one timestamp).
 
 use std::fmt;
-use std::ops::{Add, AddAssign, Sub};
 
 /// A virtual-time index identifying one item within a channel.
 ///
@@ -16,10 +15,6 @@ use std::ops::{Add, AddAssign, Sub};
 /// same timestamp (the per-frame data products of one pipeline iteration).
 #[derive(Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash, Default)]
 pub struct Timestamp(pub u64);
-
-/// A difference between two [`Timestamp`]s (e.g. a digitizer stride).
-#[derive(Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash, Debug, Default)]
-pub struct TsDelta(pub u64);
 
 impl Timestamp {
     /// The smallest timestamp.
@@ -35,32 +30,6 @@ impl Timestamp {
     #[must_use]
     pub fn prev(self) -> Option<Timestamp> {
         self.0.checked_sub(1).map(Timestamp)
-    }
-
-    /// Saturating subtraction producing a delta.
-    #[must_use]
-    pub fn delta_since(self, earlier: Timestamp) -> TsDelta {
-        TsDelta(self.0.saturating_sub(earlier.0))
-    }
-}
-
-impl Add<TsDelta> for Timestamp {
-    type Output = Timestamp;
-    fn add(self, rhs: TsDelta) -> Timestamp {
-        Timestamp(self.0 + rhs.0)
-    }
-}
-
-impl AddAssign<TsDelta> for Timestamp {
-    fn add_assign(&mut self, rhs: TsDelta) {
-        self.0 += rhs.0;
-    }
-}
-
-impl Sub<TsDelta> for Timestamp {
-    type Output = Timestamp;
-    fn sub(self, rhs: TsDelta) -> Timestamp {
-        Timestamp(self.0 - rhs.0)
     }
 }
 
@@ -99,24 +68,6 @@ mod tests {
         assert_eq!(t.next(), Timestamp(42));
         assert_eq!(t.next().prev(), Some(t));
         assert_eq!(Timestamp::ZERO.prev(), None);
-    }
-
-    #[test]
-    fn delta_arithmetic() {
-        let t = Timestamp(10);
-        assert_eq!(t + TsDelta(5), Timestamp(15));
-        assert_eq!(Timestamp(15) - TsDelta(5), t);
-        assert_eq!(Timestamp(15).delta_since(t), TsDelta(5));
-        // delta_since saturates rather than wrapping
-        assert_eq!(t.delta_since(Timestamp(15)), TsDelta(0));
-    }
-
-    #[test]
-    fn add_assign_advances() {
-        let mut t = Timestamp(0);
-        t += TsDelta(3);
-        t += TsDelta(4);
-        assert_eq!(t, Timestamp(7));
     }
 
     #[test]

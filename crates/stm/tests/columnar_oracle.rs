@@ -1,15 +1,15 @@
-//! Lockstep bit-identity: the bucketed columnar channel vs. the frozen
-//! per-item reference store (`stm::oracle::RefChannel`).
+//! Lockstep bit-identity: the row-store channel vs. the frozen per-item
+//! reference store (`stm::oracle::RefChannel`).
 //!
 //! Every operation — out-of-order puts, every `TsSpec` flavour of `get`,
 //! single and ranged consumes, frontier advances, skip tombstones, input
 //! detach — is applied to both stores and its *result* compared exactly:
 //! put errors, `(ts, value)` pairs, miss reasons and neighbour timestamps.
 //! After every op the aggregate views (live count, GC floor, oldest/newest,
-//! reclaimed total, frontiers) must agree too. Runs twice per case: once
-//! with a tiny bucket size (4 rows, forcing splits and multi-bucket scans)
-//! and once with history retention on, which must be invisible to the
-//! classic API.
+//! reclaimed total, frontiers) must agree too. Runs three times per case:
+//! with a history budget of three items (history is evicted inside the
+//! lockstep on most cases), with roomy retention, and with the default
+//! channel. History, kept or evicted, must be invisible to the classic API.
 
 use proptest::prelude::*;
 use stm::oracle::RefChannel;
@@ -141,11 +141,16 @@ fn run_lockstep(ops: &[Op], build: impl Fn() -> Channel<u64>) {
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(160))]
 
-    /// Tiny buckets (4 rows): out-of-order puts force mid-bucket inserts,
-    /// splits, and cross-bucket wildcard scans on nearly every case.
+    /// A three-item history budget (24 bytes of `u64`): reclaim evicts
+    /// history, oldest first, on nearly every case.
     #[test]
-    fn columnar_matches_per_item_oracle(ops in proptest::collection::vec(op_strategy(), 1..120)) {
-        run_lockstep(&ops, || ChannelBuilder::new("lockstep").bucket_rows(4).build());
+    fn evicting_history_matches_per_item_oracle(ops in proptest::collection::vec(op_strategy(), 1..120)) {
+        run_lockstep(&ops, || {
+            ChannelBuilder::new("lockstep-evict")
+                .retain_buckets(1)
+                .retain_bytes(3 * 8)
+                .build()
+        });
     }
 
     /// History retention must be invisible to the classic API: same ops,
@@ -154,15 +159,14 @@ proptest! {
     fn retention_is_invisible_to_classic_api(ops in proptest::collection::vec(op_strategy(), 1..120)) {
         run_lockstep(&ops, || {
             ChannelBuilder::new("lockstep-retain")
-                .bucket_rows(4)
                 .retain_buckets(3)
                 .build()
         });
     }
 
-    /// Default bucket size: the steady-state append-only shape.
+    /// The default channel: no history, the shape every workload runs.
     #[test]
-    fn columnar_matches_oracle_default_buckets(ops in proptest::collection::vec(op_strategy(), 1..80)) {
+    fn row_store_matches_per_item_oracle(ops in proptest::collection::vec(op_strategy(), 1..80)) {
         run_lockstep(&ops, || Channel::new("lockstep-default"));
     }
 }

@@ -1,25 +1,20 @@
-//! Edge tests for the late-joiner history queries `latest_at` / `range`
-//! at bucket boundaries and split points of the columnar store.
-//!
-//! Bucket size 4 throughout, so timestamps 0..4 land in bucket 0, 4..8 in
-//! bucket 1, etc., and out-of-order inserts into a full bucket force a
-//! midpoint split — every query here is exercised across at least one
-//! physical bucket edge.
+//! Tests for the late-joiner history queries `latest_at` / `range`: edge
+//! cases at the boundary between history and live items and after
+//! out-of-order puts, the retention budgets, and a property test of
+//! history against a model.
 
 use std::sync::Arc;
 
+use proptest::prelude::*;
 use stm::{Channel, ChannelBuilder, Timestamp};
 
 fn ts(t: u64) -> Timestamp {
     Timestamp(t)
 }
 
-/// Channel with tiny buckets and history retention on.
+/// Channel with history retention on.
 fn retained(name: &str) -> Channel<u64> {
-    ChannelBuilder::new(name)
-        .bucket_rows(4)
-        .retain_buckets(8)
-        .build()
+    ChannelBuilder::new(name).retain_buckets(8).build()
 }
 
 fn fill(ch: &Channel<u64>, times: impl IntoIterator<Item = u64>) {
@@ -62,28 +57,31 @@ fn latest_at_on_empty_channel_is_none() {
     assert!(ch.range(ts(0), ts(100)).is_empty());
 }
 
-/// `latest_at` exactly on the first row of a bucket must not be answered
-/// by the previous bucket, and one below it must be.
+/// `latest_at` exactly on the oldest live item must be answered by it, and
+/// one below it by the newest history item.
 #[test]
-fn latest_at_at_bucket_boundary() {
+fn latest_at_at_history_boundary() {
     let ch = retained("hist-boundary");
-    // Two full buckets: [0,1,2,3] and [4,5,6,7].
+    let inp = ch.attach_input();
     fill(&ch, 0..8);
+    inp.advance_frontier(ts(4)); // history [0, 4), live [4, 8)
     assert_eq!(ch.latest_at(ts(4)).map(|(t, v)| (t, *v)), Some((ts(4), 40)));
     assert_eq!(ch.latest_at(ts(3)).map(|(t, v)| (t, *v)), Some((ts(3), 30)));
 }
 
 #[test]
-fn range_spans_bucket_boundary() {
+fn range_spans_history_and_live() {
     let ch = retained("hist-range-span");
-    fill(&ch, 0..12); // three full buckets
+    let inp = ch.attach_input();
+    fill(&ch, 0..12);
+    inp.advance_frontier(ts(6));
     let got: Vec<(u64, u64)> = ch
         .range(ts(2), ts(10))
         .into_iter()
         .map(|(t, v)| (t.0, *v))
         .collect();
     let want: Vec<(u64, u64)> = (2..10).map(|t| (t, t * 10)).collect();
-    assert_eq!(got, want, "half-open [2, 10) across three buckets");
+    assert_eq!(got, want, "half-open [2, 10) across the floor at 6");
 }
 
 #[test]
@@ -98,14 +96,13 @@ fn range_is_half_open() {
     assert_eq!(got, vec![4], "`to` is exclusive, `from` inclusive");
 }
 
-/// Out-of-order put into a full bucket splits it; queries that straddle
-/// the split point must see a seamless ordered view.
+/// An out-of-order put lands in time order; queries around it must see a
+/// seamless ordered view.
 #[test]
-fn range_across_a_split_point() {
-    let ch = retained("hist-split");
+fn range_after_an_out_of_order_put() {
+    let ch = retained("hist-out-of-order");
     let out = ch.attach_output();
-    // Fill one bucket [0, 2, 4, 6], then force a mid-bucket insert at 3,
-    // then keep appending so the split buckets are interior, not the tail.
+    // Insert 3 between 2 and 4, then keep appending so it is interior.
     for t in [0, 2, 4, 6, 3, 8, 9, 10, 11] {
         out.put(ts(t), t * 10).unwrap();
     }
@@ -147,7 +144,7 @@ fn reclaimed_items_stay_queryable_with_retention() {
 /// floor-pass and history queries only see the live window.
 #[test]
 fn no_retention_drops_reclaimed_payloads() {
-    let ch: Channel<u64> = ChannelBuilder::new("hist-noretain").bucket_rows(4).build();
+    let ch: Channel<u64> = Channel::new("hist-noretain");
     let inp = ch.attach_input();
     fill(&ch, 0..8);
     inp.advance_frontier(ts(6));
@@ -161,12 +158,11 @@ fn no_retention_drops_reclaimed_payloads() {
     assert_eq!(got, vec![6, 7], "only the live tail remains");
 }
 
-/// A byte budget evicts whole retained buckets oldest-first; the live
-/// window is never evicted.
+/// A byte budget evicts history oldest-first; the live window is never
+/// evicted.
 #[test]
 fn retain_bytes_evicts_oldest_history_first() {
     let ch: Channel<u64> = ChannelBuilder::new("hist-budget")
-        .bucket_rows(4)
         .retain_buckets(64)
         .retain_bytes(4 * std::mem::size_of::<u64>())
         .build();
@@ -174,9 +170,9 @@ fn retain_bytes_evicts_oldest_history_first() {
     fill(&ch, 0..16);
     inp.advance_frontier(ts(16));
 
-    // Budget fits one 4-row bucket of history: only the newest retained
-    // bucket [12..16) survives.
-    assert!(ch.latest_at(ts(11)).is_none(), "older buckets evicted");
+    // Budget fits four rows of history: only the newest four, [12, 16),
+    // survive.
+    assert!(ch.latest_at(ts(11)).is_none(), "older history evicted");
     let got: Vec<u64> = ch
         .range(ts(0), ts(16))
         .into_iter()
@@ -188,14 +184,14 @@ fn retain_bytes_evicts_oldest_history_first() {
     assert_eq!(stats.retained_bytes, 4 * std::mem::size_of::<u64>());
 }
 
-/// `latest_at` must skip rows whose payload was cleared (consumed under
-/// no-retention) even when newer live rows share the bucket.
+/// Without retention `latest_at` must not answer from a reclaimed item,
+/// even with newer live items present.
 #[test]
-fn latest_at_skips_cleared_slots_within_a_bucket() {
-    let ch: Channel<u64> = ChannelBuilder::new("hist-cleared").bucket_rows(8).build();
+fn latest_at_skips_reclaimed_items_without_retention() {
+    let ch: Channel<u64> = Channel::new("hist-cleared");
     let inp = ch.attach_input();
     fill(&ch, 0..6);
-    // Reclaim 0..3 inside the single shared bucket.
+    // Reclaim 0..3; 3..6 stay live.
     inp.advance_frontier(ts(3));
 
     assert_eq!(
@@ -207,7 +203,7 @@ fn latest_at_skips_cleared_slots_within_a_bucket() {
 }
 
 /// History payloads are the same `Arc`s the live window handed out — no
-/// copies are made when a bucket moves from live to retained.
+/// copies are made when an item moves from live to retained.
 #[test]
 fn history_shares_payload_arcs() {
     let ch = retained("hist-arc");
@@ -221,13 +217,12 @@ fn history_shares_payload_arcs() {
     assert!(Arc::ptr_eq(&live, &hist));
 }
 
-/// Frame-sized payloads streamed through a channel with columnar history.
+/// Frame-sized payloads streamed through a channel with history.
 mod retention_memory {
     use super::*;
 
     /// One 64x64 grayscale frame per row.
     const ROW: usize = 64 * 64;
-    const BUCKET_ROWS: usize = 32;
     /// Retained-history budget: 64 rows.
     const BUDGET: usize = 64 * ROW;
     const CHUNK: u64 = 16;
@@ -245,7 +240,7 @@ mod retention_memory {
     /// Stream `n` rows in chunks of `CHUNK`; consume each chunk unless
     /// `hold_live` (the per-item way to keep history: never consume).
     fn stream(builder: ChannelBuilder, hold_live: bool, n: u64) -> Channel<Vec<u8>> {
-        let ch = builder.bucket_rows(BUCKET_ROWS).build_weighed(weigh);
+        let ch = builder.build_weighed(weigh);
         let out = ch.attach_output();
         let inp = ch.attach_input();
         for lo in (0..n).step_by(CHUNK as usize) {
@@ -284,8 +279,8 @@ mod retention_memory {
             pb * 2 <= pa * 3,
             "budgeted high-water is flat: {pa} -> {pb}"
         );
-        // Eviction is per bucket and the live put window rides on top.
-        let slack = BUDGET + BUCKET_ROWS * ROW + CHUNK as usize * ROW;
+        // Eviction is per row; the live put window rides on top.
+        let slack = BUDGET + CHUNK as usize * ROW;
         assert!(pb <= slack, "high-water {pb} over budget + slack {slack}");
 
         assert_eq!(
@@ -296,9 +291,10 @@ mod retention_memory {
         let (newest, row) = b.latest_at(ts(long - 1)).expect("newest row retained");
         assert_eq!(newest, ts(long - 1));
         assert_eq!(row[0], ((long - 1) & 0xff) as u8);
+        let kept = (BUDGET / ROW) as u64;
         assert!(
-            b.range(ts(0), ts(BUCKET_ROWS as u64)).is_empty(),
-            "oldest buckets evicted"
+            b.range(ts(0), ts(long - kept)).is_empty(),
+            "everything older than the budget evicted"
         );
         assert!(b.gc_floor().0 > 0);
     }
@@ -307,9 +303,7 @@ mod retention_memory {
     fn batch_apis_take_fewer_locks_than_per_item_calls() {
         const BATCH: u64 = 64;
         let locks = |batched: bool| {
-            let ch = ChannelBuilder::new("hist-locks")
-                .bucket_rows(BUCKET_ROWS)
-                .build_weighed(weigh);
+            let ch = ChannelBuilder::new("hist-locks").build_weighed(weigh);
             let out = ch.attach_output();
             let inp = ch.attach_input();
             let before = ch.stats().lock_acquisitions;
@@ -329,5 +323,101 @@ mod retention_memory {
         };
         let (per_item, batched) = (locks(false), locks(true));
         assert!(batched * 8 <= per_item, "locks {per_item} -> {batched}");
+    }
+}
+
+/// History against a model under random put / consume / frontier
+/// interleavings over two consumers, with both caps set.
+mod history_model {
+    use super::*;
+
+    #[derive(Clone, Debug)]
+    enum Op {
+        /// Put at `next + gap`, then move `next` past it.
+        Put(u64),
+        /// Put `back` below `next` (out of order; may be refused).
+        PutLate(u64),
+        /// Consume `back` below `next` on a consumer.
+        Consume(usize, u64),
+        /// Advance a consumer's frontier to `back` below `next`.
+        Advance(usize, u64),
+    }
+
+    fn op_strategy() -> impl Strategy<Value = Op> {
+        prop_oneof![
+            (0u64..3).prop_map(Op::Put),
+            (0u64..3).prop_map(Op::Put),
+            (1u64..8).prop_map(Op::PutLate),
+            (0usize..2, 0u64..8).prop_map(|(c, b)| Op::Consume(c, b)),
+            (0usize..2, 0u64..8).prop_map(|(c, b)| Op::Advance(c, b)),
+        ]
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(48))]
+
+        /// `range(0, MAX)` is always the newest `K` reclaimed items plus
+        /// every live one, where `K` is the smaller of the row cap
+        /// (`buckets × 256`) and the byte cap in 8-byte items; `latest_at`
+        /// and the retained-bytes gauge agree with it.
+        #[test]
+        fn history_is_newest_reclaimed_within_both_caps(
+            buckets in 0usize..3,
+            // Tight, near the 256-row cap (either cap may bind), unbounded.
+            cap_items in prop_oneof![0usize..8, 250usize..262, Just(1usize << 40)],
+            ops in proptest::collection::vec(op_strategy(), 300..1200),
+        ) {
+            let item = std::mem::size_of::<u64>();
+            let ch: Channel<u64> = ChannelBuilder::new("hist-model")
+                .retain_buckets(buckets)
+                .retain_bytes(cap_items * item)
+                .build();
+            let out = ch.attach_output();
+            let inps = [ch.attach_input(), ch.attach_input()];
+            let k = (buckets * 256).min(cap_items);
+            let mut put = std::collections::BTreeSet::new();
+            let mut next = 0u64;
+            for op in &ops {
+                match *op {
+                    Op::Put(gap) => {
+                        let t = next + gap;
+                        next = t + 1;
+                        if out.put(ts(t), t * 10).is_ok() {
+                            put.insert(t);
+                        }
+                    }
+                    Op::PutLate(back) => {
+                        let t = next.saturating_sub(back);
+                        if out.put(ts(t), t * 10).is_ok() {
+                            put.insert(t);
+                        }
+                    }
+                    Op::Consume(c, back) => {
+                        let _ = inps[c].consume(ts(next.saturating_sub(back + 1)));
+                    }
+                    Op::Advance(c, back) => inps[c].advance_frontier(ts(next.saturating_sub(back))),
+                }
+
+                let floor = ch.gc_floor().0;
+                let reclaimed: Vec<u64> = put.range(..floor).copied().collect();
+                let kept = &reclaimed[reclaimed.len().saturating_sub(k)..];
+                let want: Vec<(u64, u64)> = kept
+                    .iter()
+                    .chain(put.range(floor..))
+                    .map(|&t| (t, t * 10))
+                    .collect();
+                let got: Vec<(u64, u64)> = ch
+                    .range(ts(0), ts(u64::MAX))
+                    .into_iter()
+                    .map(|(t, v)| (t.0, *v))
+                    .collect();
+                prop_assert_eq!(&got, &want, "history diverged after {:?}", op);
+                prop_assert_eq!(ch.stats().retained_bytes, std::mem::size_of_val(kept));
+                prop_assert_eq!(
+                    ch.latest_at(ts(u64::MAX)).map(|(t, _)| t.0),
+                    want.last().map(|w| w.0)
+                );
+            }
+        }
     }
 }
